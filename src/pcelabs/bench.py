@@ -238,6 +238,11 @@ class CampaignConfig:
         return pce, memetic, warm
 
 
+def _pce_echo(settings: PceConfig) -> dict:
+    """PCE settings as a record echoes them, naming the engine that ran."""
+    return {**asdict(settings), "engine": pce_solver.resolve_engine(settings.engine)}
+
+
 def _run_one(config: CampaignConfig, n: int, run_index: int) -> RunRecord:
     seed = stable_seed(config.base_seed, n, run_index)
     levels = config.levels_for(n)
@@ -246,14 +251,14 @@ def _run_one(config: CampaignConfig, n: int, run_index: int) -> RunRecord:
     started = time.perf_counter() if config.timing else None
     if config.solver == "pce":
         result = pce_solver.solve(n, settings, references)
-        echo = asdict(settings)
+        echo = _pce_echo(settings)
     elif config.solver == "tabu":
         result = tabu_search(n, settings, references)
         echo = asdict(settings)
     else:
         pce, memetic, warm = settings
         result = pce_warm_start(n, pce, memetic, references, warm)
-        echo = {"pce": asdict(pce), "memetic": asdict(memetic), "warm": asdict(warm)}
+        echo = {"pce": _pce_echo(pce), "memetic": asdict(memetic), "warm": asdict(warm)}
     wall = time.perf_counter() - started if started is not None else None
     if result.best_energy < references.exact:
         raise RuntimeError(

@@ -260,8 +260,11 @@ def _code(x_mask: int, z_mask: int, n: int) -> int:
     return (x_mask << n) | z_mask
 
 
-def _sym_parity_array(codes: np.ndarray, x_mask: int, z_mask: int, n: int) -> np.ndarray:
-    """Symplectic form of (x_mask, z_mask) against an array of codes; 0/1."""
+def _sym_parity_array(codes: np.ndarray, x_mask, z_mask, n: int) -> np.ndarray:
+    """Symplectic form of (x_mask, z_mask) against an array of codes; 0/1.
+
+    The masks may be ints or arrays that broadcast against ``codes``.
+    """
     xs = codes >> n
     zs = codes & ((1 << n) - 1)
     a = np.bitwise_count((xs & z_mask).astype(np.uint64))
@@ -300,10 +303,9 @@ def _score_candidates(
     n: int, accepted: list[tuple[int, int]], want: int, codes: np.ndarray
 ) -> np.ndarray:
     """How many accepted pairs each code satisfies the relation against."""
-    score = np.zeros(codes.size, dtype=np.int64)
-    for x_mask, z_mask in accepted:
-        score += _sym_parity_array(codes, x_mask, z_mask, n) == want
-    return score
+    x_masks, z_masks = np.array(accepted, dtype=np.int64).reshape(-1, 2).T
+    parity = _sym_parity_array(codes, x_masks[:, None], z_masks[:, None], n)
+    return (parity == want).sum(axis=0)
 
 
 class SetSamplingError(RuntimeError):

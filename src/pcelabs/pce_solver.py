@@ -40,6 +40,7 @@ __all__ = [
     "relaxed_loss_gradient",
     "decode",
     "parameter_shift_gradient",
+    "resolve_engine",
     "solve",
 ]
 
@@ -195,14 +196,14 @@ class SolveResult:
         )
 
 
-def _pauli_tables(paulis: Sequence, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    perms = np.empty((len(paulis), dim), dtype=np.int64)
-    coeffs = np.empty((len(paulis), dim), dtype=np.complex128)
-    for i, pauli in enumerate(paulis):
-        perm, coeff = state_sim._pauli_tables(pauli, dim)
-        perms[i] = perm
-        coeffs[i] = coeff
-    return perms, coeffs
+def resolve_engine(engine: str) -> str:
+    """The engine that runs for a requested one: ``"auto"`` picks numba
+    when it is importable and numpy otherwise."""
+    if engine == "auto":
+        return "numba" if _kernels.HAVE_NUMBA else "numpy"
+    if engine == "numba" and not _kernels.HAVE_NUMBA:
+        raise RuntimeError("numba engine requested but numba is unavailable")
+    return engine
 
 
 class LossContext:
@@ -235,18 +236,13 @@ class LossContext:
         self.count_gradient_evals = count_gradient_evals
         self.evals = 0
         self.program = spec.gate_program()
-        self.perms, self.coeffs = _pauli_tables(self.paulis, 1 << spec.n)
-        if engine == "auto":
-            engine = "numba" if _kernels.HAVE_NUMBA else "numpy"
-        if engine == "numba" and not _kernels.HAVE_NUMBA:
-            raise RuntimeError("numba engine requested but numba is unavailable")
-        self.engine = engine
+        self.tables = state_sim.pauli_tables(self.paulis, 1 << spec.n)
+        self.engine = resolve_engine(engine)
 
     # -- raw engine calls (uncounted) --
 
-    def exact_expectations(self, thetas: np.ndarray) -> np.ndarray:
-        """(B, N) exact expectation matrix for a (B, P) angle matrix."""
-        thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
+    def _forward(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(B, 2^n) states and (B, N) exact expectations for (B, P) angles."""
         if self.engine == "numba":
             states = _kernels.evolve_batch(
                 self.program.kinds,
@@ -255,9 +251,13 @@ class LossContext:
                 thetas,
                 self.spec.n,
             )
-            return _kernels.pauli_expectations(states, self.perms, self.coeffs)
+            return states, _kernels.pauli_expectations(states, *self.tables)
         states = state_sim.run_ansatz_batch(self.spec, thetas)
-        return state_sim.expectations_batch(states, self.paulis)
+        return states, state_sim.expectations_batch(states, self.tables)
+
+    def exact_expectations(self, thetas: np.ndarray) -> np.ndarray:
+        """(B, N) exact expectation matrix for a (B, P) angle matrix."""
+        return self._forward(np.atleast_2d(np.asarray(thetas, dtype=np.float64)))[1]
 
     def _sample(self, exact: np.ndarray) -> np.ndarray:
         """Finite-shot estimate of an exact expectation array.
@@ -270,12 +270,12 @@ class LossContext:
         hits = self.rng.binomial(self.shots, p)
         return (2.0 * hits - self.shots) / self.shots
 
+    def _measured(self, exact: np.ndarray) -> np.ndarray:
+        return self._sample(exact) if self.shots > 0 else exact
+
     def expectations(self, theta: np.ndarray) -> np.ndarray:
         """(N,) expectations for one angle vector; sampled when shots > 0."""
-        exact = self.exact_expectations(theta)[0]
-        if self.shots > 0:
-            return self._sample(exact)
-        return exact
+        return self._measured(self.exact_expectations(theta)[0])
 
     # -- counted evaluations --
 
@@ -291,50 +291,77 @@ class LossContext:
     def value(self, theta: np.ndarray) -> float:
         return self.value_and_expectations(theta)[0]
 
-    def gradient(self, theta: np.ndarray) -> np.ndarray:
-        """Analytic dL/dtheta (adjoint sweep on the numba engine,
-        parameter shift otherwise); equal to parameter shift either way."""
+    def gradient(
+        self, theta: np.ndarray, forward: tuple[np.ndarray, np.ndarray] | None = None
+    ) -> np.ndarray:
+        """Analytic dL/dtheta by one adjoint sweep on either engine; equal to
+        parameter shift.  ``forward`` is the (state, exact expectations)
+        pair at theta when the caller has already evolved it."""
         theta = np.asarray(theta, dtype=np.float64)
+        if forward is None:
+            states, exact = self._forward(theta[None, :])
+            forward = states[0], exact[0]
+        psi, exact = forward
+        weights = self._loss_weights(exact)
         if self.engine == "numba":
-            grad = self._gradient_adjoint(theta)
+            grad = _kernels.adjoint_gradient(
+                self.program.kinds,
+                self.program.args,
+                self.program.params,
+                theta,
+                self.spec.n,
+                *self.tables,
+                weights,
+                psi,
+            )
         else:
-            grad = parameter_shift_gradient(self, theta)
+            lam = weights @ (self.tables.coeffs * psi[self.tables.perms])
+            grad = _adjoint_gradient(self.program, theta, psi, lam)
         if self.count_gradient_evals:
             self.evals += 2 * self.program.param_count
         return grad
 
     def step(self, theta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        """Fused counted loss + uncounted-gradient evaluation."""
-        loss, e = self.value_and_expectations(theta)
-        grad = self.gradient(theta)
-        return loss, e, grad
+        """One counted loss evaluation and its uncounted gradient, from a
+        single forward pass."""
+        theta = np.asarray(theta, dtype=np.float64)
+        states, exact = self._forward(theta[None, :])
+        e = self._measured(exact[0])
+        self.evals += 1
+        grad = self.gradient(theta, (states[0], exact[0]))
+        return self.loss_from_expectations(e), e, grad
 
     def _loss_weights(self, exact_e: np.ndarray) -> np.ndarray:
         x_tilde = relax(exact_e, self.alpha)
         gx = relaxed_loss_gradient(x_tilde, self.beta)
         return gx * self.alpha * (1.0 - x_tilde**2)
 
-    def _gradient_adjoint(self, theta: np.ndarray) -> np.ndarray:
-        psi = _kernels.evolve_batch(
-            self.program.kinds,
-            self.program.args,
-            self.program.params,
-            theta[None, :],
-            self.spec.n,
-        )[0]
-        exact_e = _kernels.pauli_expectations(psi[None, :], self.perms, self.coeffs)[0]
-        weights = self._loss_weights(exact_e)
-        return _kernels.adjoint_gradient(
-            self.program.kinds,
-            self.program.args,
-            self.program.params,
-            theta,
-            self.spec.n,
-            self.perms,
-            self.coeffs,
-            weights,
-            psi,
-        )
+
+def _adjoint_gradient(
+    program: state_sim.GateProgram, theta: np.ndarray, psi: np.ndarray, lam: np.ndarray
+) -> np.ndarray:
+    """d<psi(theta)|A|psi(theta)>/dtheta by one reverse sweep, numpy engine.
+
+    psi is the circuit output for theta and lam = A psi for a Hermitian A
+    (here sum_i w_i P_i).  Both are un-applied gate by gate as one (2, 2^n)
+    array; gate g, with U_g = exp(-i t G_g / 2), contributes
+    Im<lam|G_g|psi> read with both vectors just past it.  Mirrors
+    ``_kernels.adjoint_gradient``.
+    """
+    half = theta[program.params] / 2.0
+    cos = np.cos(half)
+    weights = -1j * np.sin(half)[:, None] * program.coeffs
+    count = half.size
+    trail = np.empty((count + 1, 2, psi.size), dtype=np.complex128)
+    trail[count] = psi, lam
+    for g in range(count - 1, -1, -1):
+        trail[g] = trail[g + 1]
+        state_sim.turn(trail[g], program.perms[g], weights[g], cos[g])
+    past = trail[1:]
+    g_psi = program.coeffs * np.take_along_axis(past[:, 0], program.perms, axis=1)
+    grad = np.zeros(program.param_count)
+    grad[program.params] = np.einsum("gc,gc->g", past[:, 1].conj(), g_psi).imag
+    return grad
 
 
 def parameter_shift_gradient(ctx: LossContext, theta: np.ndarray) -> np.ndarray:
@@ -343,7 +370,8 @@ def parameter_shift_gradient(ctx: LossContext, theta: np.ndarray) -> np.ndarray:
     Every gate generator here has eigenvalues +-1/2 scaled into
     exp(-i t G / 2) form, so d<P>/dt = (<P>(t + pi/2) - <P>(t - pi/2)) / 2
     holds exactly; the loss gradient follows by the chain rule through
-    x~ = tanh(alpha e).
+    x~ = tanh(alpha e).  The solver uses the adjoint sweep; this is its
+    test oracle and the cost model a hardware run would pay (2P circuits).
     """
     theta = np.asarray(theta, dtype=np.float64)
     p = theta.size

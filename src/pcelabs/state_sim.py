@@ -13,6 +13,11 @@ One ansatz layer applies RX then RY on every qubit, then an MS gate on
 each brick pair.  Even layers pair (0,1), (2,3), ...; odd layers pair
 (1,2), (3,4), ... plus the wrap-around pair (n-1, 0) when n is even.
 Every gate carries its own parameter.
+
+Every gate is exp(-i t G / 2) for a Pauli-string generator G, and every
+Pauli string P acts on a state through a table pair: (P psi)[c] =
+coeff[c] psi[perm[c]], with perm[c] = c XOR x_mask and coeff[c] a unit
+(+-1 or +-i).  Gates and measured strings share that one table form.
 """
 
 from __future__ import annotations
@@ -28,6 +33,9 @@ from pcelabs.pauli_algebra import PauliString
 __all__ = [
     "AnsatzSpec",
     "GateProgram",
+    "PauliTables",
+    "pauli_tables",
+    "turn",
     "zero_state",
     "apply_rotation",
     "apply_ms",
@@ -52,13 +60,40 @@ _S_DAGGER = np.array([[1, 0], [0, -1j]], dtype=np.complex128)
 class GateProgram(NamedTuple):
     """Flat gate list: kinds are GATE_* codes, args hold the qubit index
     for rotations and the two-qubit XOR mask for MS gates, params index
-    into the parameter vector."""
+    into the parameter vector.  perms and coeffs, shape (gates, 2^n), are
+    each gate's generator table."""
 
     n: int
     kinds: np.ndarray
     args: np.ndarray
     params: np.ndarray
     param_count: int
+    perms: np.ndarray
+    coeffs: np.ndarray
+
+
+class PauliTables(NamedTuple):
+    """Stacked tables of a Pauli list: (P_i psi)[c] = coeffs[i, c] psi[perms[i, c]]."""
+
+    perms: np.ndarray
+    coeffs: np.ndarray
+
+
+_PHASES = np.array([1, 1j, -1, -1j], dtype=np.complex128)
+
+
+def _tables(x_masks: np.ndarray, z_masks: np.ndarray, dim: int) -> PauliTables:
+    perms = np.arange(dim) ^ x_masks[:, None]
+    signs = 1.0 - 2.0 * (np.bitwise_count(perms & z_masks[:, None]) & 1)
+    phases = _PHASES[np.bitwise_count(x_masks & z_masks) % 4]
+    return PauliTables(perms, phases[:, None] * signs)
+
+
+def pauli_tables(paulis, dim: int) -> PauliTables:
+    """Stacked (len(paulis), dim) tables of a sequence of PauliStrings."""
+    x_masks = np.array([p.x_mask for p in paulis], dtype=np.int64)
+    z_masks = np.array([p.z_mask for p in paulis], dtype=np.int64)
+    return _tables(x_masks, z_masks, dim)
 
 
 @dataclass(frozen=True)
@@ -84,11 +119,6 @@ class AnsatzSpec:
         return pairs
 
     @property
-    def params_per_layer(self) -> int:
-        per = [2 * self.n + len(self.brick_pairs(layer)) for layer in (0, 1)]
-        return per[0] if per[0] == per[1] else -1
-
-    @property
     def param_count(self) -> int:
         return sum(
             2 * self.n + len(self.brick_pairs(layer)) for layer in range(self.layers)
@@ -98,29 +128,42 @@ class AnsatzSpec:
         return _build_program(self.n, self.layers)
 
 
+# Generator (x_mask, z_mask) of each rotation axis on qubit 0.
+_AXIS_MASKS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+
+
 @lru_cache(maxsize=64)
 def _build_program(n: int, layers: int) -> GateProgram:
     spec = AnsatzSpec(n, layers)
-    kinds, args, params = [], [], []
+    kinds, args, params, x_masks, z_masks = [], [], [], [], []
     next_param = 0
     for layer in range(layers):
-        for kind in (GATE_RX, GATE_RY):
+        for kind, axis in ((GATE_RX, "X"), (GATE_RY, "Y")):
+            x, z = _AXIS_MASKS[axis]
             for q in range(n):
                 kinds.append(kind)
                 args.append(q)
                 params.append(next_param)
+                x_masks.append(x << q)
+                z_masks.append(z << q)
                 next_param += 1
         for q1, q2 in spec.brick_pairs(layer):
+            mask = (1 << q1) | (1 << q2)
             kinds.append(GATE_MS)
-            args.append((1 << q1) | (1 << q2))
+            args.append(mask)
             params.append(next_param)
+            x_masks.append(mask)
+            z_masks.append(0)
             next_param += 1
+    perms, coeffs = _tables(np.array(x_masks), np.array(z_masks), 1 << n)
     return GateProgram(
         n=n,
         kinds=np.array(kinds, dtype=np.int8),
         args=np.array(args, dtype=np.int64),
         params=np.array(params, dtype=np.int64),
         param_count=next_param,
+        perms=perms,
+        coeffs=coeffs,
     )
 
 
@@ -143,71 +186,50 @@ def _as_batch(state: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def _mix_pair(states: np.ndarray, qubit: int, m00, m01, m10, m11) -> None:
-    """Apply a 2x2 matrix to one qubit of a (B, 2^n) array, in place.
-
-    Matrix entries may be scalars or (B,) arrays for per-row angles.
-    """
+    """Apply a 2x2 matrix to one qubit of a (B, 2^n) array, in place."""
     b, dim = states.shape
     lo = 1 << qubit
     hi = dim >> (qubit + 1)
     view = states.reshape(b, hi, 2, lo)
-    shape = (-1, 1, 1)
-    if np.ndim(m00):
-        m00 = np.reshape(m00, shape)
-        m11 = np.reshape(m11, shape)
-    if np.ndim(m01):
-        m01 = np.reshape(m01, shape)
-        m10 = np.reshape(m10, shape)
     v0 = view[:, :, 0, :].copy()
     v1 = view[:, :, 1, :]
     view[:, :, 0, :] = m00 * v0 + m01 * v1
     view[:, :, 1, :] = m10 * v0 + m11 * v1
 
 
-def _rotate_inplace(states: np.ndarray, axis: int, qubit: int, theta) -> None:
-    half = np.asarray(theta) / 2.0
-    c = np.cos(half)
-    s = np.sin(half)
-    if axis == GATE_RX:
-        _mix_pair(states, qubit, c, -1j * s, -1j * s, c)
-    elif axis == GATE_RY:
-        _mix_pair(states, qubit, c, -s, s, c)
-    elif axis == GATE_RZ:
-        _mix_pair(states, qubit, c - 1j * s, 0.0, 0.0, c + 1j * s)
-    else:
-        raise ValueError(f"unknown rotation axis {axis}")
+def turn(states: np.ndarray, perm: np.ndarray, weight: np.ndarray, cos_half) -> None:
+    """psi <- cos_half psi - weight * psi[perm] on every row of a (B, 2^n)
+    array, in place.
+
+    For a generator table (perm, coeff), cos_half = cos(t/2) and weight =
+    i sin(t/2) coeff this is psi <- exp(-i t G / 2) psi; t -> -t un-applies
+    it.  cos_half is a scalar or a (B, 1) array, weight a (2^n,) or
+    (B, 2^n) array, so rows may carry their own angles.
+    """
+    turned = states.take(perm, axis=1)
+    turned *= weight
+    states *= cos_half
+    states -= turned
 
 
-def _ms_inplace(states: np.ndarray, mask: int, theta) -> None:
-    half = np.asarray(theta) / 2.0
-    c = np.cos(half)
-    s = np.sin(half)
-    if np.ndim(c):
-        c = c[:, None]
-        s = s[:, None]
-    perm = np.arange(states.shape[1]) ^ mask
-    swapped = states[:, perm]
-    states *= c
-    states -= 1j * s * swapped
-
-
-_AXIS_CODES = {"X": GATE_RX, "Y": GATE_RY, "Z": GATE_RZ}
+def _apply_generator(state: np.ndarray, x_mask: int, z_mask: int, theta: float) -> np.ndarray:
+    out, single = _as_batch(np.array(state, dtype=np.complex128))
+    perms, coeffs = _tables(np.array([x_mask]), np.array([z_mask]), out.shape[1])
+    turn(out, perms[0], 1j * np.sin(theta / 2.0) * coeffs[0], np.cos(theta / 2.0))
+    return out[0] if single else out
 
 
 def apply_rotation(state: np.ndarray, axis: str, qubit: int, theta: float) -> np.ndarray:
     """exp(-i theta P_q / 2) applied to a state; returns a new array."""
-    out, single = _as_batch(np.array(state, dtype=np.complex128))
-    _rotate_inplace(out, _AXIS_CODES[axis.upper()], qubit, theta)
-    return out[0] if single else out
+    x, z = _AXIS_MASKS[axis.upper()]
+    return _apply_generator(state, x << qubit, z << qubit, theta)
 
 
 def apply_ms(state: np.ndarray, q1: int, q2: int, theta: float) -> np.ndarray:
     """exp(-i theta X_q1 X_q2 / 2) applied to a state; returns a new array."""
     if q1 == q2:
         raise ValueError("MS gate needs two distinct qubits")
-    out, single = _as_batch(np.array(state, dtype=np.complex128))
-    _ms_inplace(out, (1 << q1) | (1 << q2), theta)
-    return out[0] if single else out
+    return _apply_generator(state, (1 << q1) | (1 << q2), 0, theta)
 
 
 def apply_single_qubit(state: np.ndarray, mat: np.ndarray, qubit: int) -> np.ndarray:
@@ -221,8 +243,7 @@ def run_ansatz_batch(spec: AnsatzSpec, thetas: np.ndarray) -> np.ndarray:
     """Run the brickwork circuit for each row of a (B, P) angle matrix.
 
     Returns a (B, 2^n) array of statevectors.  All rows share the gate
-    sequence; only the angles differ, which is what the parameter-shift
-    rule needs.
+    sequence; only the angles differ.
     """
     prog = spec.gate_program()
     thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
@@ -231,12 +252,10 @@ def run_ansatz_batch(spec: AnsatzSpec, thetas: np.ndarray) -> np.ndarray:
             f"expected {prog.param_count} parameters, got {thetas.shape[1]}"
         )
     states = zero_state(spec.n, batch=thetas.shape[0])
-    for kind, arg, param in zip(prog.kinds, prog.args, prog.params):
-        angles = thetas[:, param]
-        if kind == GATE_MS:
-            _ms_inplace(states, int(arg), angles)
-        else:
-            _rotate_inplace(states, int(kind), int(arg), angles)
+    half = thetas[:, prog.params].T[:, :, None] / 2.0
+    weights = 1j * np.sin(half) * prog.coeffs[:, None, :]
+    for perm, weight, c in zip(prog.perms, weights, np.cos(half)):
+        turn(states, perm, weight, c)
     norms = np.linalg.norm(states, axis=1)
     if not np.allclose(norms, 1.0, atol=1e-9):
         raise AssertionError("state norm drifted beyond 1e-9")
@@ -248,40 +267,26 @@ def run_ansatz(spec: AnsatzSpec, theta: np.ndarray) -> np.ndarray:
     return run_ansatz_batch(spec, np.asarray(theta)[None, :])[0]
 
 
-def _pauli_tables(pauli: PauliString, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Permutation and coefficient so that (P psi)[c] = coeff[c] psi[perm[c]]."""
-    idx = np.arange(dim)
-    perm = idx ^ pauli.x_mask
-    signs = 1.0 - 2.0 * (np.bitwise_count((perm & pauli.z_mask).astype(np.uint64)) & 1)
-    phase = 1j ** (pauli.y_count() % 4)
-    return perm, phase * signs
-
-
 def expectation(state: np.ndarray, pauli: PauliString) -> float:
     """<psi|P|psi> for a normalized state; checked real to 1e-9."""
     dim = 1 << pauli.n
     if state.shape != (dim,):
         raise ValueError(f"state shape {state.shape} does not match {pauli.n} qubits")
-    perm, coeff = _pauli_tables(pauli, dim)
-    value = np.vdot(state, coeff * state[perm])
-    if abs(value.imag) >= 1e-9:
-        raise AssertionError(f"expectation has imaginary part {value.imag:.3e}")
-    return float(value.real)
+    return float(expectations_batch(state, [pauli])[0, 0])
 
 
 def expectations_batch(states: np.ndarray, paulis) -> np.ndarray:
-    """<psi_b|P_i|psi_b> for every state row and Pauli; shape (B, N)."""
+    """<psi_b|P_i|psi_b> for every state row and Pauli; shape (B, N).
+
+    ``paulis`` is a sequence of PauliStrings or their ``PauliTables``.
+    """
     states = np.atleast_2d(states)
-    dim = states.shape[1]
-    out = np.empty((states.shape[0], len(paulis)), dtype=np.float64)
-    conj = states.conj()
-    for i, pauli in enumerate(paulis):
-        perm, coeff = _pauli_tables(pauli, dim)
-        value = np.einsum("bc,bc->b", conj, coeff * states[:, perm])
-        if np.abs(value.imag).max() >= 1e-9:
-            raise AssertionError("expectation has imaginary part above 1e-9")
-        out[:, i] = value.real
-    return out
+    if not isinstance(paulis, PauliTables):
+        paulis = pauli_tables(paulis, states.shape[1])
+    values = np.einsum("bc,bic->bi", states.conj(), paulis.coeffs * states[:, paulis.perms])
+    if np.any(np.abs(values.imag) >= 1e-9):
+        raise AssertionError("expectation has imaginary part above 1e-9")
+    return values.real.copy()
 
 
 def sampled_expectation(

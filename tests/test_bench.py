@@ -7,7 +7,7 @@ import pytest
 from scipy.special import kolmogorov
 from scipy.stats import ks_2samp
 
-from pcelabs import bench
+from pcelabs import bench, pce_solver
 from pcelabs.baselines import exact_solve
 from pcelabs.bench import (
     CampaignConfig,
@@ -106,6 +106,23 @@ def test_campaign_is_deterministic():
     a = run_campaign(small_campaign())
     b = run_campaign(small_campaign())
     assert [r.to_dict() for r in a] == [r.to_dict() for r in b]
+
+
+def test_records_name_the_engine_that_ran():
+    pce = {"restart_cap": 1, "iters_per_restart": 2}
+    ran = pce_solver.resolve_engine("auto")
+    (record,) = run_campaign(small_campaign(solver="pce", sizes=[5], runs_per_size=1, pce=pce))
+    assert record.config["engine"] == ran
+    warm = small_campaign(
+        solver="warm",
+        sizes=[5],
+        runs_per_size=1,
+        pce=pce,
+        memetic={"eval_budget": 200},
+        warm={"pce_runs": 2, "population_copies": 2},
+    )
+    (record,) = run_campaign(warm)
+    assert record.config["pce"]["engine"] == ran
 
 
 def test_campaign_refuses_unknown_size_before_running():

@@ -1,9 +1,14 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from pcelabs.pauli_algebra import (
+    _score_candidates,
+    _sym_parity_array,
     PauliSet,
     PauliString,
     SetSamplingError,
@@ -160,3 +165,28 @@ def test_count_validation(rng):
         sample_anticommuting_set(3, 0, rng)
     with pytest.raises(ValueError):
         sample_commuting_set(0, 1, rng)
+
+
+GOLDEN_SETS = json.loads((Path(__file__).parent / "data" / "pce_golden.json").read_text())["sampler"]
+SAMPLERS = {"anticommuting": sample_anticommuting_set, "commuting": sample_commuting_set}
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN_SETS, ids=lambda c: f"N{c['N']}-{c['mode']}-seed{c['seed']}"
+)
+def test_samplers_match_golden_sets(case):
+    # the set and the generator state it leaves behind are both pinned
+    rng = np.random.default_rng(case["seed"])
+    assert SAMPLERS[case["mode"]](4, case["N"], rng).to_dict() == case["set"]
+    assert int(rng.integers(2**62)) == case["next_draw"]
+
+
+@pytest.mark.parametrize("want", [0, 1])
+def test_score_candidates_matches_per_string_loop(want, rng):
+    n = 3
+    accepted = [(int(x), int(z)) for x, z in rng.integers(0, 1 << n, (9, 2)) if x or z]
+    codes = np.arange(1, 1 << (2 * n), dtype=np.int64)
+    loop = np.zeros(codes.size, dtype=np.int64)
+    for x_mask, z_mask in accepted:
+        loop += _sym_parity_array(codes, x_mask, z_mask, n) == want
+    np.testing.assert_array_equal(_score_candidates(n, accepted, want, codes), loop)

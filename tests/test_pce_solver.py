@@ -1,11 +1,14 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcelabs import _kernels
+from pcelabs import _kernels, state_sim
 from pcelabs.labs_core import sidelobe_energy
-from pcelabs.pauli_algebra import sample_anticommuting_set
+from pcelabs.pauli_algebra import sample_anticommuting_set, sample_commuting_set
 from pcelabs.pce_solver import (
     EnergyReferences,
     LossContext,
@@ -21,9 +24,15 @@ from pcelabs.pce_solver import (
 )
 
 
-def make_context(n=3, layers=2, N=8, alpha=4.5, beta=15.0, seed=0, **kw):
+GOLDEN = json.loads((Path(__file__).parent / "data" / "pce_golden.json").read_text())
+SAMPLERS = {"anticommuting": sample_anticommuting_set, "commuting": sample_commuting_set}
+
+
+def make_context(
+    n=3, layers=2, N=8, alpha=4.5, beta=15.0, seed=0, mode="anticommuting", **kw
+):
     rng = np.random.default_rng(seed)
-    paulis = sample_anticommuting_set(n, N, rng)
+    paulis = SAMPLERS[mode](n, N, rng)
     config = PceConfig(n_qubits=n, layers=layers, alpha=alpha, beta=beta)
     return LossContext(
         config.ansatz(), list(paulis), alpha, beta, rng=rng, **kw
@@ -91,6 +100,62 @@ def test_adjoint_gradient_equals_parameter_shift():
             parameter_shift_gradient(ctx_ref, theta),
             atol=1e-10,
         )
+
+
+@pytest.mark.parametrize("mode", ["anticommuting", "commuting"])
+def test_numpy_adjoint_gradient_equals_parameter_shift(mode):
+    for seed in range(5):
+        ctx = make_context(seed=seed, mode=mode, engine="numpy")
+        theta = np.random.default_rng(100 + seed).uniform(
+            -np.pi, np.pi, ctx.spec.param_count
+        )
+        np.testing.assert_allclose(
+            ctx.gradient(theta), parameter_shift_gradient(ctx, theta), atol=1e-10
+        )
+
+
+def test_step_matches_separate_value_and_gradient():
+    stepped = make_context(seed=4, shots=16, engine="numpy")
+    separate = make_context(seed=4, shots=16, engine="numpy")
+    theta = np.random.default_rng(6).uniform(-np.pi, np.pi, stepped.spec.param_count)
+    loss, e, grad = stepped.step(theta)
+    want_loss, want_e = separate.value_and_expectations(theta)
+    assert loss == want_loss
+    np.testing.assert_array_equal(e, want_e)
+    np.testing.assert_array_equal(grad, separate.gradient(theta))
+    assert stepped.evals == separate.evals == 1
+
+
+def test_solve_evolves_one_row_per_counted_eval(monkeypatch):
+    rows = []
+    evolve = state_sim.run_ansatz_batch
+
+    def counted(spec, thetas):
+        states = evolve(spec, thetas)
+        rows.append(states.shape[0])
+        return states
+
+    monkeypatch.setattr(state_sim, "run_ansatz_batch", counted)
+    config = PceConfig(seed=3, restart_cap=2, iters_per_restart=6, engine="numpy")
+    result = solve(13, config)
+    assert result.total_evals == 14
+    assert sum(rows) == result.total_evals
+    assert set(rows) == {1}
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN["solve"], ids=lambda c: f"N{c['N']}-{c['mode']}-shots{c['shots']}-seed{c['seed']}"
+)
+def test_solve_matches_golden_records(case):
+    config = PceConfig(
+        pauli_mode=case["mode"],
+        shots=case["shots"],
+        seed=case["seed"],
+        restart_cap=2,
+        iters_per_restart=9,
+        engine="numpy",
+    )
+    assert solve(case["N"], config).to_dict() == case["result"]
 
 
 @pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba unavailable")
