@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 EXACT_LIMIT = 32
+_NO_MOVE = np.iinfo(np.int64).max  # masks tabu flips out of the argmin
 
 
 @dataclass
@@ -185,17 +186,6 @@ class _EvalClock:
         return self.evals >= self.budget
 
 
-def _observe_probe(
-    counters: _CounterState, ws: FlipWorkspace, i: int, energy: int, eval_index: int
-) -> bool:
-    """Counter update for a probed flip; materializes the sequence lazily."""
-    if not counters.interested(energy):
-        return counters.evals_to_exact is not None
-    seq = ws.sequence
-    seq[i] = -seq[i]
-    return counters.observe(seq, energy, eval_index)
-
-
 def _tabu_core(
     ws: FlipWorkspace,
     counters: _CounterState,
@@ -221,18 +211,26 @@ def _tabu_core(
             return
         move += 1
         deltas = ws.propose_all()
-        current = ws.energy
-        for i in range(n):
-            if clock.exhausted:
-                return
-            if _observe_probe(counters, ws, i, current + int(deltas[i]), clock.tick()):
-                return
-        allowed = tabu_until <= move
-        allowed |= current + deltas < counters.best_energy
-        if not allowed.any():
-            allowed[:] = True
-        masked = np.where(allowed, deltas, np.iinfo(np.int64).max)
-        best_idx = int(np.argmin(masked))
+        energies = ws.energy + deltas
+        start = clock.evals
+        count = min(n, clock.budget - start)
+        # The start of the run has been observed, so there is a limit.  It
+        # only falls while the probes are observed, so every probe that can
+        # fire is among these; each is checked again in index order.
+        for i in (energies[:count] <= counters.limit()).nonzero()[0].tolist():
+            energy = int(energies[i])
+            if counters.interested(energy):
+                seq = ws.sequence
+                seq[i] = -seq[i]
+                if counters.observe(seq, energy, start + i + 1):
+                    clock.evals = start + i + 1
+                    return
+        clock.evals = start + count
+        if count < n:
+            return
+        # tenure_max < N: at least one flip is free of tabu.
+        allowed = (tabu_until <= move) | (energies < counters.best_energy)
+        best_idx = int(np.where(allowed, deltas, _NO_MOVE).argmin())
         previous_best = counters.best_energy
         ws.commit(best_idx)
         tabu_until[best_idx] = move + int(rng.integers(tenure[0], tenure[1] + 1))
@@ -240,27 +238,6 @@ def _tabu_core(
             since_improvement = 0
         else:
             since_improvement += 1
-
-
-def _result_from_counters(
-    solver: str, N: int, seed: int, counters: _CounterState, clock: _EvalClock, restarts: int
-) -> SolveResult:
-    if counters.best_sequence is None:
-        raise RuntimeError("no evaluations performed; increase the budget")
-    best = canonicalize(counters.best_sequence)
-    return SolveResult(
-        solver=solver,
-        n=N,
-        seed=seed,
-        best_sequence=best,
-        best_energy=counters.best_energy,
-        merit_factor=N * N / (2.0 * counters.best_energy),
-        total_evals=clock.evals,
-        restarts_used=restarts,
-        evals_to_exact=counters.evals_to_exact,
-        evals_to_first=counters.evals_to_first,
-        evals_to_second=counters.evals_to_second,
-    )
 
 
 def tabu_search(
@@ -296,7 +273,7 @@ def tabu_search(
             tenure,
             stagnation_limit=config.stagnation_factor * N,
         )
-    return _result_from_counters("tabu", N, config.seed, counters, clock, restarts)
+    return counters.result("tabu", config.seed, clock.evals, restarts)
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +370,7 @@ def memetic_tabu(
         if improved_energy < energies[worst]:
             members[worst] = improved
             energies[worst] = improved_energy
-    return _result_from_counters(
-        _solver_tag, N, config.seed, counters, clock, generations
-    )
+    return counters.result(_solver_tag, config.seed, clock.evals, generations)
 
 
 def _tournament(
@@ -449,7 +424,9 @@ def pce_warm_start(
     for run in range(warm.pce_runs):
         runs_used += 1
         run_config = pce_config.with_seed(_derive_seed(pce_config.seed, run))
-        result = pce_solve(N, run_config, references)
+        result = pce_solve(
+            N, run_config, references, _eval_budget=clock.budget - clock.evals
+        )
         offset = clock.evals
         clock.evals += result.total_evals
         _merge_counters(counters, result, offset)
@@ -470,9 +447,7 @@ def pce_warm_start(
             _counters=counters,
             _solver_tag="pce+memetic-tabu",
         )
-    return _result_from_counters(
-        "pce+memetic-tabu", N, pce_config.seed, counters, clock, runs_used
-    )
+    return counters.result("pce+memetic-tabu", pce_config.seed, clock.evals, runs_used)
 
 
 def _derive_seed(base: int, index: int) -> int:

@@ -125,18 +125,27 @@ def energy_report(x: np.ndarray) -> dict:
     }
 
 
-def _flip_terms(x: np.ndarray, i: int) -> np.ndarray:
+def _padded(x: np.ndarray) -> np.ndarray:
+    """``x`` in the middle of a zero buffer of length 3N - 2.
+
+    Out-of-range neighbours then read as 0, so the terms of a flip are
+    plain slices (``_padded_terms``).
+    """
+    n = x.size
+    xp = np.zeros(3 * n - 2, dtype=np.int64)
+    xp[n - 1 : 2 * n - 1] = x
+    return xp
+
+
+def _padded_terms(xp: np.ndarray, i: int) -> np.ndarray:
     """Per-lag change terms d_l for flipping position ``i`` (0-based).
 
     d_l collects the autocorrelation terms that contain x_i:
     d_l = x_i * (x_{i+l} + x_{i-l}) with out-of-range neighbours dropped,
-    so that flipping x_i maps C_l to C_l - 2 d_l.
+    so that flipping x_i maps C_l to C_l - 2 d_l.  ``xp`` is ``_padded(x)``.
     """
-    n = x.size
-    lags = np.arange(1, n)
-    right = np.where(i + lags < n, x[(i + lags) % n], 0)
-    left = np.where(i - lags >= 0, x[(i - lags) % n], 0)
-    return x[i] * (right + left)
+    n = (xp.size + 2) // 3
+    return xp[n - 1 + i] * (xp[n + i : 2 * n - 1 + i] + xp[i : n - 1 + i][::-1])
 
 
 def flip_delta(x: np.ndarray, cache: np.ndarray, i: int) -> int:
@@ -162,7 +171,7 @@ def flip_delta(x: np.ndarray, cache: np.ndarray, i: int) -> int:
         raise ValueError("cache length does not match sequence")
     if not 0 <= i < x.size:
         raise IndexError(f"flip index {i} out of range for length {x.size}")
-    d = _flip_terms(x, i)
+    d = _padded_terms(_padded(x), i)
     return int(4 * np.dot(d, d - cache))
 
 
@@ -171,23 +180,16 @@ class FlipWorkspace:
 
     Keeps the sequence, its autocorrelations, and its energy in sync so a
     flip can be scored in O(N) and committed in O(N).  ``propose_all``
-    scores every position in one vectorized O(N^2) pass, which is what a
-    tabu sweep wants.
+    scores every position in one O(N^2) pass of length-N convolutions,
+    which is what a tabu sweep wants.
     """
 
     def __init__(self, x: np.ndarray):
-        self._x = as_spin_array(x).copy()
-        self._c = autocorrelations(self._x)
+        x = as_spin_array(x)
+        self._xp = _padded(x)
+        self._x = self._xp[x.size - 1 : 2 * x.size - 1]  # a view: flips write through
+        self._c = autocorrelations(x)
         self._energy = int(np.dot(self._c, self._c))
-        n = self._x.size
-        lags = np.arange(1, n)
-        pos = np.arange(n)[:, None]
-        self._right_idx = pos + lags[None, :]
-        self._right_ok = self._right_idx < n
-        self._right_idx = np.where(self._right_ok, self._right_idx, 0)
-        self._left_idx = pos - lags[None, :]
-        self._left_ok = self._left_idx >= 0
-        self._left_idx = np.where(self._left_ok, self._left_idx, 0)
 
     @property
     def n(self) -> int:
@@ -207,24 +209,26 @@ class FlipWorkspace:
 
     def propose(self, i: int) -> int:
         """Energy change if ``x[i]`` were flipped; no state change."""
-        d = _flip_terms(self._x, i)
+        d = _padded_terms(self._xp, i)
         return int(4 * np.dot(d, d - self._c))
 
     def propose_all(self) -> np.ndarray:
-        """Energy change for every single flip, as an int64 array of length N."""
-        x = self._x
-        right = np.where(self._right_ok, x[self._right_idx], 0)
-        left = np.where(self._left_ok, x[self._left_idx], 0)
-        d = x[:, None] * (right + left)
-        return 4 * np.einsum("il,il->i", d, d - self._c[None, :])
+        """Energy change for every single flip, as an int64 array of length N.
+
+        Summed over lags, d_l^2 gives N - 2 + (x * x)_{2i} and d_l C_l gives
+        x_i (x * k)_i, where * is convolution and k = [C_{N-1} .. C_1, 0,
+        C_1 .. C_{N-1}] is the symmetric autocorrelation kernel.
+        """
+        x, c = self._x, self._c
+        kernel = np.concatenate((c[::-1], [0], c))
+        squares = np.convolve(x, x)[::2]
+        return 4 * (squares + (x.size - 2) - x * np.convolve(x, kernel, "valid"))
 
     def commit(self, i: int) -> int:
         """Flip ``x[i]``, update the caches, and return the new energy."""
-        d = _flip_terms(self._x, i)
-        delta = int(4 * np.dot(d, d - self._c))
-        self._c -= 2 * d
+        self._c -= 2 * _padded_terms(self._xp, i)
         self._x[i] = -self._x[i]
-        self._energy += delta
+        self._energy = int(np.dot(self._c, self._c))
         return self._energy
 
 

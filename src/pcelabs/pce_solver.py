@@ -450,24 +450,32 @@ class _CounterState:
         self.evals_to_first: int | None = None
         self.evals_to_second: int | None = None
 
+    def limit(self) -> int | None:
+        """The largest energy whose observation could change any recorded
+        state (improve the best or trigger a counter); None before the
+        first observation, when every energy could.
+
+        Observing can only lower it: the best energy falls and reference
+        levels retire once they fire.
+        """
+        if self.best_energy is None:
+            return None
+        fired = (self.evals_to_exact, self.evals_to_first, self.evals_to_second)
+        pending = [
+            level
+            for level, hit in zip(self.references or (), fired)
+            if level is not None and hit is None
+        ]
+        return max([self.best_energy - 1, *pending])
+
     def interested(self, energy: int) -> bool:
         """Whether observing this energy could change any recorded state.
 
         Lets callers skip materializing candidate sequences for probes
         that would neither improve the best nor trigger a counter.
         """
-        if self.best_energy is None or energy < self.best_energy:
-            return True
-        refs = self.references
-        if refs is None:
-            return False
-        if refs.second is not None and self.evals_to_second is None:
-            if energy <= refs.second:
-                return True
-        if refs.first is not None and self.evals_to_first is None:
-            if energy <= refs.first:
-                return True
-        return self.evals_to_exact is None and energy <= refs.exact
+        limit = self.limit()
+        return limit is None or energy <= limit
 
     def observe(self, sequence: np.ndarray, energy: int, eval_index: int) -> bool:
         """Record one decoded sequence; True once the exact level is hit."""
@@ -487,11 +495,31 @@ class _CounterState:
             self.evals_to_exact = eval_index
         return self.evals_to_exact is not None
 
+    def result(self, solver: str, seed: int, total_evals: int, restarts_used: int) -> SolveResult:
+        """The run's outcome, with the best sequence in canonical form."""
+        if self.best_sequence is None:
+            raise RuntimeError("no evaluations performed; increase the budget")
+        return SolveResult(
+            solver=solver,
+            n=self.n,
+            seed=seed,
+            best_sequence=canonicalize(self.best_sequence),
+            best_energy=self.best_energy,
+            merit_factor=self.n * self.n / (2.0 * self.best_energy),
+            total_evals=total_evals,
+            restarts_used=restarts_used,
+            evals_to_exact=self.evals_to_exact,
+            evals_to_first=self.evals_to_first,
+            evals_to_second=self.evals_to_second,
+        )
+
 
 def solve(
     N: int,
     config: PceConfig,
     references: EnergyReferences | None = None,
+    *,
+    _eval_budget: int | None = None,
 ) -> SolveResult:
     """Run the variational solver until the exact level or the restart cap.
 
@@ -501,6 +529,10 @@ def solve(
     the first eval index at which each reference level was met.  Without
     references the solver runs its full budget and reports the best
     sequence seen.  Identical (N, config) pairs give identical results.
+
+    A caller sharing an evaluation budget passes what is left of it as
+    ``_eval_budget``: the run ends, without a gradient, on the evaluation
+    after which a further step would not fit.
     """
     if N < 3:
         raise ValueError("sequence length must be >= 3")
@@ -510,6 +542,7 @@ def solve(
     restarts_used = 0
     total_evals = 0
     done = False
+    step_cost = 1 + (2 * spec.param_count if config.count_gradient_evals else 0)
     for _ in range(config.restart_cap):
         restarts_used += 1
         pauli_set = _sample_pauli_set(config, N, rng)
@@ -529,14 +562,15 @@ def solve(
         # The initial angles are evaluated and decoded too, so a restart
         # costs iters_per_restart + 1 loss evaluations.
         for it in range(config.iters_per_restart + 1):
-            if it < config.iters_per_restart:
+            last = _eval_budget is not None and ctx.evals + step_cost >= _eval_budget
+            if it < config.iters_per_restart and not last:
                 _, e, grad = ctx.step(theta)
             else:
                 _, e = ctx.value_and_expectations(theta)
                 grad = None
             sequence = decode(e)
             energy = sidelobe_energy(sequence)
-            if counters.observe(sequence, energy, ctx.evals):
+            if counters.observe(sequence, energy, ctx.evals) or last:
                 done = True
                 break
             if grad is not None:
@@ -544,19 +578,4 @@ def solve(
         total_evals = ctx.evals
         if done:
             break
-    if counters.best_sequence is None:
-        raise RuntimeError("solver made no evaluations; increase the budget")
-    best = canonicalize(counters.best_sequence)
-    return SolveResult(
-        solver="pce",
-        n=N,
-        seed=config.seed,
-        best_sequence=best,
-        best_energy=counters.best_energy,
-        merit_factor=N * N / (2.0 * counters.best_energy),
-        total_evals=total_evals,
-        restarts_used=restarts_used,
-        evals_to_exact=counters.evals_to_exact,
-        evals_to_first=counters.evals_to_first,
-        evals_to_second=counters.evals_to_second,
-    )
+    return counters.result("pce", config.seed, total_evals, restarts_used)

@@ -1,4 +1,6 @@
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,12 @@ from pcelabs.labs_core import canonicalize, parse_sequence, sidelobe_energy
 from pcelabs.pce_solver import EnergyReferences, PceConfig
 
 BARKER_13 = parse_sequence("+++++--++-+-+")
+GOLDEN = json.loads((Path(__file__).parent / "data" / "tabu_golden.json").read_text())
+
+
+def golden_references(case):
+    levels = case["references"]
+    return None if levels is None else EnergyReferences(*levels)
 
 
 def brute_levels(n, levels=3):
@@ -95,6 +103,25 @@ def test_tabu_deterministic():
     a = tabu_search(11, TabuConfig(seed=7), refs)
     b = tabu_search(11, TabuConfig(seed=7), refs)
     assert a.to_dict() == b.to_dict()
+
+
+@pytest.mark.parametrize(
+    "case",
+    GOLDEN["tabu"],
+    ids=lambda c: f"N{c['N']}-seed{c['seed']}-budget{c['budget']}-refs{c['references'] is not None}",
+)
+def test_tabu_matches_golden_records(case):
+    config = TabuConfig(eval_budget=case["budget"], seed=case["seed"])
+    result = tabu_search(case["N"], config, golden_references(case))
+    assert result.to_dict() == case["result"]
+
+
+@pytest.mark.parametrize("case", GOLDEN["memetic"], ids=lambda c: f"N{c['N']}-seed{c['seed']}")
+def test_memetic_matches_golden_records(case):
+    population = [parse_sequence(p) for p in case["population"]]
+    config = MemeticConfig(eval_budget=case["budget"], seed=case["seed"])
+    result = memetic_tabu(case["N"], population, config, golden_references(case))
+    assert result.to_dict() == case["result"]
 
 
 def test_tabu_tenure_validation():
@@ -176,3 +203,11 @@ def test_warm_start_short_circuits_in_pce_phase():
     result = pce_warm_start(7, pce, mt, refs, WarmStartConfig(pce_runs=20, population_copies=5))
     assert result.best_energy == 3
     assert result.evals_to_exact == result.total_evals
+
+
+def test_warm_start_budget_is_a_hard_limit():
+    # Five 21-evaluation variational runs would spend 105 of a 50 budget.
+    pce = PceConfig(seed=0, iters_per_restart=20, restart_cap=1, count_gradient_evals=False)
+    mt = MemeticConfig(seed=0, eval_budget=50)
+    result = pce_warm_start(13, pce, mt, None, WarmStartConfig(pce_runs=5, population_copies=4))
+    assert result.total_evals <= 50

@@ -98,6 +98,28 @@ def test_commit_keeps_energy_consistent(x, moves):
     )
 
 
+@given(
+    st.integers(MIN_LENGTH, 64).flatmap(lambda n: spins(n, n)),
+    st.lists(st.integers(0, 63), max_size=20),
+)
+def test_workspace_matches_brute_force_along_commits(x, moves):
+    ws = FlipWorkspace(x)
+    for raw in [None, *moves]:
+        if raw is not None:
+            i = raw % x.size
+            flipped = ws.sequence
+            flipped[i] = -flipped[i]
+            assert ws.commit(i) == sidelobe_energy(flipped)
+        current = ws.sequence
+        np.testing.assert_array_equal(ws.autocorr, autocorrelations(current))
+        brute = []
+        for i in range(x.size):
+            flipped = current.copy()
+            flipped[i] = -flipped[i]
+            brute.append(sidelobe_energy(flipped) - sidelobe_energy(current))
+        np.testing.assert_array_equal(ws.propose_all(), brute)
+
+
 def test_symmetry_images_preserve_energy():
     images = symmetry_images(BARKER_13)
     assert len(images) == 8

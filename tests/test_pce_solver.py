@@ -1,3 +1,4 @@
+import itertools
 import json
 from pathlib import Path
 
@@ -236,6 +237,51 @@ def test_interested_tracks_pending_levels():
     c.observe(seq, 18, 2)
     assert not c.interested(18)  # second already fired, not an improvement
     assert c.interested(14)
+
+
+def interested_reference(c, energy):
+    """Whether observing ``energy`` changes the best or fires a counter,
+    written out level by level."""
+    if c.best_energy is None or energy < c.best_energy:
+        return True
+    refs = c.references
+    if refs is None:
+        return False
+    if refs.second is not None and c.evals_to_second is None and energy <= refs.second:
+        return True
+    if refs.first is not None and c.evals_to_first is None and energy <= refs.first:
+        return True
+    return c.evals_to_exact is None and energy <= refs.exact
+
+
+@pytest.mark.parametrize(
+    "refs",
+    [None, EnergyReferences(exact=10), EnergyReferences(exact=10, first=14, second=18)],
+)
+def test_limit_agrees_with_interested(refs):
+    for best, fired in itertools.product(
+        [None, 25, 18, 15, 11, 10, 4], itertools.product([None, 1], repeat=3)
+    ):
+        c = _CounterState(13, refs)
+        c.best_energy = best
+        c.evals_to_second, c.evals_to_first, c.evals_to_exact = fired
+        limit = c.limit()
+        for energy in range(2 * 10 + 1):
+            expected = interested_reference(c, energy)
+            assert (limit is None or energy <= limit) == expected, (best, fired, energy)
+            assert c.interested(energy) == expected, (best, fired, energy)
+
+
+@pytest.mark.parametrize("count_gradient_evals", [False, True])
+def test_eval_budget_caps_solve(count_gradient_evals):
+    config = PceConfig(
+        seed=0, restart_cap=3, iters_per_restart=9, count_gradient_evals=count_gradient_evals
+    )
+    for budget in (1, 7, 12, 400, 1000):
+        result = solve(13, config, _eval_budget=budget)
+        assert result.total_evals <= budget
+        if not count_gradient_evals:
+            assert result.total_evals == min(budget, 30)
 
 
 def test_solve_small_instance_end_to_end():
