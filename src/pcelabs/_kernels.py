@@ -1,13 +1,12 @@
 """Jitted hot loops for the variational solver.
 
 Numba compilations of the statevector evolution, Pauli expectation, and
-reverse-mode (adjoint) gradient sweep.  Everything here mirrors a pure
-numpy implementation in ``pce_solver``; tests pin the two against each
-other, and the solver falls back to numpy when numba is unavailable.
-
-Gate encoding matches ``state_sim.GateProgram``: kind 0 = RX, 1 = RY,
-2 = RZ, 3 = MS, args hold the qubit for rotations and the XOR mask for
-MS gates.
+reverse-mode (adjoint) gradient sweep.  They read the same generator
+tables as the numpy engine (``state_sim.GateProgram.perms/coeffs/params``
+and ``state_sim.PauliTables``) and apply every gate through one loop,
+``_turn``, which computes ``state_sim.turn`` element by element in the
+same operation order.  Without numba the ``njit`` shim below leaves them
+plain Python, and the tests run them that way against the numpy engine.
 """
 
 from __future__ import annotations
@@ -31,46 +30,33 @@ except ImportError:  # pragma: no cover
 
 
 @njit(cache=True)
-def evolve_batch(kinds, args, params, thetas, n):
-    """Evolve |0..0> through the gate program for each row of angles."""
-    batch = thetas.shape[0]
-    dim = 1 << n
-    out = np.zeros((batch, dim), dtype=np.complex128)
-    for b in range(batch):
+def _turn(psi, perm, coeff, cos_half, sin_half):
+    """psi <- cos_half psi - i sin_half coeff psi[perm], in place.
+
+    With cos_half = cos(t/2) and sin_half = sin(t/2) this applies
+    exp(-i t G / 2) for the generator table (perm, coeff); -t un-applies
+    it.  perm is an involution, so each pair (c, perm[c]) is updated from
+    its old values once; perm[c] == c covers diagonal generators.
+    """
+    for c in range(psi.size):
+        j = perm[c]
+        if c <= j:
+            a = psi[c]
+            b = psi[j]
+            psi[c] = a * cos_half - b * (1j * sin_half * coeff[c])
+            psi[j] = b * cos_half - a * (1j * sin_half * coeff[j])
+
+
+@njit(cache=True)
+def evolve_batch(perms, coeffs, params, thetas):
+    """Evolve |0..0> through the gate tables for each row of angles."""
+    out = np.zeros((thetas.shape[0], perms.shape[1]), dtype=np.complex128)
+    for b in range(thetas.shape[0]):
         psi = out[b]
         psi[0] = 1.0
-        for g in range(kinds.size):
-            half = 0.5 * thetas[b, params[g]]
-            c = np.cos(half)
-            s = np.sin(half)
-            kind = kinds[g]
-            if kind == 3:
-                mask = args[g]
-                for i in range(dim):
-                    j = i ^ mask
-                    if i < j:
-                        a0 = psi[i]
-                        a1 = psi[j]
-                        psi[i] = c * a0 - 1j * s * a1
-                        psi[j] = c * a1 - 1j * s * a0
-            else:
-                lo = 1 << args[g]
-                step = lo << 1
-                for base in range(0, dim, step):
-                    for off in range(lo):
-                        i0 = base + off
-                        i1 = i0 + lo
-                        a0 = psi[i0]
-                        a1 = psi[i1]
-                        if kind == 0:
-                            psi[i0] = c * a0 - 1j * s * a1
-                            psi[i1] = c * a1 - 1j * s * a0
-                        elif kind == 1:
-                            psi[i0] = c * a0 - s * a1
-                            psi[i1] = s * a0 + c * a1
-                        else:
-                            psi[i0] = (c - 1j * s) * a0
-                            psi[i1] = (c + 1j * s) * a1
+        for g in range(params.size):
+            half = thetas[b, params[g]] / 2.0
+            _turn(psi, perms[g], coeffs[g], np.cos(half), np.sin(half))
     return out
 
 
@@ -97,100 +83,27 @@ def pauli_expectations(states, perms, coeffs):
 
 
 @njit(cache=True)
-def adjoint_gradient(kinds, args, params, theta, n, perms, coeffs, weights, psi_final):
-    """d(sum_i weights_i <P_i>)/d(theta) via one reverse sweep.
+def adjoint_gradient(perms, coeffs, params, theta, psi, lam):
+    """d<psi(theta)|A|psi(theta)>/dtheta by one reverse sweep.
 
-    psi_final must be the circuit output for theta.  The sweep keeps two
-    vectors: psi, walked backwards through the inverse gates, and
-    lam = sum_i weights_i P_i psi_final, walked backwards alongside.  The
-    derivative of gate g with generator H_g is Im(<lam|H_g|psi>) taken
-    after both vectors sit just past gate g.  Matches the parameter-shift
-    value exactly in exact simulation.
+    psi is the circuit output for theta and lam = A psi for a Hermitian A;
+    neither input is modified.  Walking back from the last gate, gate g
+    with U_g = exp(-i t G_g / 2) contributes Im<lam|G_g|psi> read with
+    both vectors just past it, and is then un-applied from both.
     """
-    dim = 1 << n
-    count = perms.shape[0]
-    lam = np.zeros(dim, dtype=np.complex128)
-    for i in range(count):
-        w = weights[i]
-        if w != 0.0:
-            for c in range(dim):
-                lam[c] += w * coeffs[i, c] * psi_final[perms[i, c]]
-    psi = psi_final.copy()
+    psi = psi.copy()
+    lam = lam.copy()
     grad = np.zeros(theta.size, dtype=np.float64)
-    for g in range(kinds.size - 1, -1, -1):
-        kind = kinds[g]
+    for g in range(params.size - 1, -1, -1):
+        perm = perms[g]
+        coeff = coeffs[g]
         acc = 0.0 + 0.0j
-        if kind == 3:
-            mask = args[g]
-            for i in range(dim):
-                j = i ^ mask
-                if i < j:
-                    acc += np.conj(lam[i]) * psi[j] + np.conj(lam[j]) * psi[i]
-        else:
-            lo = 1 << args[g]
-            step = lo << 1
-            if kind == 0:
-                for base in range(0, dim, step):
-                    for off in range(lo):
-                        i0 = base + off
-                        i1 = i0 + lo
-                        acc += np.conj(lam[i0]) * psi[i1] + np.conj(lam[i1]) * psi[i0]
-            elif kind == 1:
-                for base in range(0, dim, step):
-                    for off in range(lo):
-                        i0 = base + off
-                        i1 = i0 + lo
-                        acc += 1j * (
-                            np.conj(lam[i1]) * psi[i0] - np.conj(lam[i0]) * psi[i1]
-                        )
-            else:
-                for base in range(0, dim, step):
-                    for off in range(lo):
-                        i0 = base + off
-                        i1 = i0 + lo
-                        acc += np.conj(lam[i0]) * psi[i0] - np.conj(lam[i1]) * psi[i1]
+        for c in range(psi.size):
+            acc += np.conj(lam[c]) * (coeff[c] * psi[perm[c]])
         grad[params[g]] += acc.imag
-        # Un-apply gate g from both vectors (rotate by -theta).
-        half = 0.5 * theta[params[g]]
-        c = np.cos(half)
-        s = -np.sin(half)
-        if kind == 3:
-            mask = args[g]
-            for i in range(dim):
-                j = i ^ mask
-                if i < j:
-                    p0 = psi[i]
-                    p1 = psi[j]
-                    psi[i] = c * p0 - 1j * s * p1
-                    psi[j] = c * p1 - 1j * s * p0
-                    l0 = lam[i]
-                    l1 = lam[j]
-                    lam[i] = c * l0 - 1j * s * l1
-                    lam[j] = c * l1 - 1j * s * l0
-        else:
-            lo = 1 << args[g]
-            step = lo << 1
-            for base in range(0, dim, step):
-                for off in range(lo):
-                    i0 = base + off
-                    i1 = i0 + lo
-                    p0 = psi[i0]
-                    p1 = psi[i1]
-                    l0 = lam[i0]
-                    l1 = lam[i1]
-                    if kind == 0:
-                        psi[i0] = c * p0 - 1j * s * p1
-                        psi[i1] = c * p1 - 1j * s * p0
-                        lam[i0] = c * l0 - 1j * s * l1
-                        lam[i1] = c * l1 - 1j * s * l0
-                    elif kind == 1:
-                        psi[i0] = c * p0 - s * p1
-                        psi[i1] = s * p0 + c * p1
-                        lam[i0] = c * l0 - s * l1
-                        lam[i1] = s * l0 + c * l1
-                    else:
-                        psi[i0] = (c - 1j * s) * p0
-                        psi[i1] = (c + 1j * s) * p1
-                        lam[i0] = (c - 1j * s) * l0
-                        lam[i1] = (c + 1j * s) * l1
+        half = theta[params[g]] / 2.0
+        cos_half = np.cos(half)
+        sin_half = -np.sin(half)
+        _turn(psi, perm, coeff, cos_half, sin_half)
+        _turn(lam, perm, coeff, cos_half, sin_half)
     return grad

@@ -132,12 +132,7 @@ def _decode_half_space(code: int, N: int) -> np.ndarray:
 
 
 def references_from_exact(result: ExactResult) -> EnergyReferences:
-    levels = result.level_energies
-    return EnergyReferences(
-        exact=levels[0],
-        first=levels[1] if len(levels) > 1 else None,
-        second=levels[2] if len(levels) > 2 else None,
-    )
+    return EnergyReferences.from_levels(result.level_energies)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from importlib import resources
 from typing import Iterable, Sequence
 
@@ -27,13 +28,12 @@ import mpmath
 import numpy as np
 from scipy.stats import t as student_t
 
-from pcelabs import baselines, pce_solver
+from pcelabs import pce_solver
 from pcelabs.pce_solver import EnergyReferences, PceConfig, SolveResult
 from pcelabs.baselines import (
     MemeticConfig,
     TabuConfig,
     WarmStartConfig,
-    exact_solve,
     pce_warm_start,
     tabu_search,
 )
@@ -57,22 +57,9 @@ __all__ = [
     "tune_sweep",
     "shot_bound",
     "crossover",
-    "KNOWN_OPTIMA",
 ]
 
 SCHEMA_VERSION = 1
-
-# Best known sidelobe energies.  Entries up to 32 are reproducible here
-# via exact_solve; the rest follow the published optimal values for the
-# sizes the benchmarks use.
-KNOWN_OPTIMA = {
-    3: 1, 4: 2, 5: 2, 6: 7, 7: 3, 8: 8, 9: 12, 10: 13, 11: 5, 12: 10,
-    13: 6, 14: 19, 15: 15, 16: 24, 17: 32, 18: 25, 19: 29, 20: 26,
-    21: 26, 22: 39, 23: 47, 24: 36, 25: 36, 26: 45, 27: 37, 28: 50,
-    29: 62, 30: 59, 31: 67, 32: 64, 33: 64, 34: 65, 35: 73, 36: 82,
-    37: 86, 38: 87, 39: 99, 40: 108, 41: 108, 42: 101, 43: 109,
-    44: 122, 45: 118,
-}
 
 PAPER_SIZES_EVEN = (20, 24, 28, 32, 34, 36, 38, 40, 42, 44)
 PAPER_SIZES_ODD = (13, 21, 27, 41, 43, 45)
@@ -85,46 +72,23 @@ def stable_seed(base_seed: int, n: int, run_index: int) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-_REFERENCE_CACHE: dict[int, list[int]] = {}
-
-
-def _load_packaged_references() -> dict[int, list[int]]:
-    try:
-        text = (
-            resources.files("pcelabs").joinpath("data/reference_energies.json")
-        ).read_text()
-    except (FileNotFoundError, ModuleNotFoundError):
-        return {}
-    doc = json.loads(text)
-    return {int(k): list(v["levels"]) for k, v in doc.items()}
+@lru_cache(maxsize=1)
+def _reference_table() -> dict[int, list[int]]:
+    text = resources.files("pcelabs").joinpath("data/reference_energies.json").read_text()
+    return {int(k): v["levels"] for k, v in json.loads(text).items()}
 
 
 def reference_levels(n: int) -> list[int]:
     """Reference energy levels for one size: [exact, first, second...].
 
-    Served from the packaged table when available (enumerated levels for
-    sizes within exhaustive reach, best-known optima beyond), otherwise
-    computed by exhaustive search for n <= 32.
+    Read from the packaged table ``data/reference_energies.json``:
+    enumerated levels up to N = 28 and best known optima up to N = 45.
+    ``scripts/build_reference_table.py`` writes it.
     """
-    if not _REFERENCE_CACHE:
-        _REFERENCE_CACHE.update(_load_packaged_references())
-    if n in _REFERENCE_CACHE:
-        return list(_REFERENCE_CACHE[n])
-    if n <= baselines.EXACT_LIMIT:
-        levels = exact_solve(n).level_energies
-        _REFERENCE_CACHE[n] = levels
-        return list(levels)
-    if n in KNOWN_OPTIMA:
-        return [KNOWN_OPTIMA[n]]
-    raise ValueError(f"no reference energies available for N = {n}")
-
-
-def _levels_to_references(levels: Sequence[int]) -> EnergyReferences:
-    return EnergyReferences(
-        exact=levels[0],
-        first=levels[1] if len(levels) > 1 else None,
-        second=levels[2] if len(levels) > 2 else None,
-    )
+    table = _reference_table()
+    if n not in table:
+        raise ValueError(f"no reference energies available for N = {n}")
+    return list(table[n])
 
 
 @dataclass
@@ -246,7 +210,7 @@ def _pce_echo(settings: PceConfig) -> dict:
 def _run_one(config: CampaignConfig, n: int, run_index: int) -> RunRecord:
     seed = stable_seed(config.base_seed, n, run_index)
     levels = config.levels_for(n)
-    references = _levels_to_references(levels)
+    references = EnergyReferences.from_levels(levels)
     settings = config.solver_settings(n, seed)
     started = time.perf_counter() if config.timing else None
     if config.solver == "pce":

@@ -64,11 +64,7 @@ def _load_references(n: int, enabled: bool) -> EnergyReferences | None:
         levels = bench.reference_levels(n)
     except ValueError:
         return None
-    return EnergyReferences(
-        exact=levels[0],
-        first=levels[1] if len(levels) > 1 else None,
-        second=levels[2] if len(levels) > 2 else None,
-    )
+    return EnergyReferences.from_levels(levels)
 
 
 def _config_kwargs(args, names) -> dict:

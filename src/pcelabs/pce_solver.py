@@ -90,6 +90,12 @@ class EnergyReferences(NamedTuple):
     first: int | None = None
     second: int | None = None
 
+    @classmethod
+    def from_levels(cls, levels: Sequence[int]) -> "EnergyReferences":
+        """References from ascending levels [exact, first, second, ...];
+        levels the list lacks are None."""
+        return cls(*levels[:3])
+
 
 @dataclass(frozen=True)
 class PceConfig:
@@ -244,13 +250,8 @@ class LossContext:
     def _forward(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(B, 2^n) states and (B, N) exact expectations for (B, P) angles."""
         if self.engine == "numba":
-            states = _kernels.evolve_batch(
-                self.program.kinds,
-                self.program.args,
-                self.program.params,
-                thetas,
-                self.spec.n,
-            )
+            prog = self.program
+            states = _kernels.evolve_batch(prog.perms, prog.coeffs, prog.params, thetas)
             return states, _kernels.pauli_expectations(states, *self.tables)
         states = state_sim.run_ansatz_batch(self.spec, thetas)
         return states, state_sim.expectations_batch(states, self.tables)
@@ -303,22 +304,12 @@ class LossContext:
             forward = states[0], exact[0]
         psi, exact = forward
         weights = self._loss_weights(exact)
-        if self.engine == "numba":
-            grad = _kernels.adjoint_gradient(
-                self.program.kinds,
-                self.program.args,
-                self.program.params,
-                theta,
-                self.spec.n,
-                *self.tables,
-                weights,
-                psi,
-            )
-        else:
-            lam = weights @ (self.tables.coeffs * psi[self.tables.perms])
-            grad = _adjoint_gradient(self.program, theta, psi, lam)
+        lam = weights @ (self.tables.coeffs * psi[self.tables.perms])
+        adjoint = _kernels.adjoint_gradient if self.engine == "numba" else _adjoint_gradient
+        prog = self.program
+        grad = adjoint(prog.perms, prog.coeffs, prog.params, theta, psi, lam)
         if self.count_gradient_evals:
-            self.evals += 2 * self.program.param_count
+            self.evals += 2 * prog.param_count
         return grad
 
     def step(self, theta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -338,29 +329,35 @@ class LossContext:
 
 
 def _adjoint_gradient(
-    program: state_sim.GateProgram, theta: np.ndarray, psi: np.ndarray, lam: np.ndarray
+    perms: np.ndarray,
+    coeffs: np.ndarray,
+    params: np.ndarray,
+    theta: np.ndarray,
+    psi: np.ndarray,
+    lam: np.ndarray,
 ) -> np.ndarray:
     """d<psi(theta)|A|psi(theta)>/dtheta by one reverse sweep, numpy engine.
 
     psi is the circuit output for theta and lam = A psi for a Hermitian A
     (here sum_i w_i P_i).  Both are un-applied gate by gate as one (2, 2^n)
     array; gate g, with U_g = exp(-i t G_g / 2), contributes
-    Im<lam|G_g|psi> read with both vectors just past it.  Mirrors
-    ``_kernels.adjoint_gradient``.
+    Im<lam|G_g|psi> read with both vectors just past it.  Takes the same
+    arguments as ``_kernels.adjoint_gradient`` and does the same table
+    operations in the same order.
     """
-    half = theta[program.params] / 2.0
+    half = theta[params] / 2.0
     cos = np.cos(half)
-    weights = -1j * np.sin(half)[:, None] * program.coeffs
+    weights = -1j * np.sin(half)[:, None] * coeffs
     count = half.size
     trail = np.empty((count + 1, 2, psi.size), dtype=np.complex128)
     trail[count] = psi, lam
     for g in range(count - 1, -1, -1):
         trail[g] = trail[g + 1]
-        state_sim.turn(trail[g], program.perms[g], weights[g], cos[g])
+        state_sim.turn(trail[g], perms[g], weights[g], cos[g])
     past = trail[1:]
-    g_psi = program.coeffs * np.take_along_axis(past[:, 0], program.perms, axis=1)
-    grad = np.zeros(program.param_count)
-    grad[program.params] = np.einsum("gc,gc->g", past[:, 1].conj(), g_psi).imag
+    g_psi = coeffs * np.take_along_axis(past[:, 0], perms, axis=1)
+    grad = np.zeros(theta.size)
+    grad[params] = np.einsum("gc,gc->g", past[:, 1].conj(), g_psi).imag
     return grad
 
 

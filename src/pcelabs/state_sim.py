@@ -45,27 +45,17 @@ __all__ = [
     "expectation",
     "expectations_batch",
     "sampled_expectation",
-    "GATE_RX",
-    "GATE_RY",
-    "GATE_RZ",
-    "GATE_MS",
 ]
-
-GATE_RX, GATE_RY, GATE_RZ, GATE_MS = 0, 1, 2, 3
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
 _S_DAGGER = np.array([[1, 0], [0, -1j]], dtype=np.complex128)
 
 
 class GateProgram(NamedTuple):
-    """Flat gate list: kinds are GATE_* codes, args hold the qubit index
-    for rotations and the two-qubit XOR mask for MS gates, params index
-    into the parameter vector.  perms and coeffs, shape (gates, 2^n), are
-    each gate's generator table."""
+    """Flat gate list: gate g is exp(-i t G_g / 2) with t the parameter
+    params[g]; perms[g] and coeffs[g], shape (gates, 2^n) stacked, are
+    the table of its generator G_g."""
 
-    n: int
-    kinds: np.ndarray
-    args: np.ndarray
     params: np.ndarray
     param_count: int
     perms: np.ndarray
@@ -135,33 +125,19 @@ _AXIS_MASKS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 @lru_cache(maxsize=64)
 def _build_program(n: int, layers: int) -> GateProgram:
     spec = AnsatzSpec(n, layers)
-    kinds, args, params, x_masks, z_masks = [], [], [], [], []
-    next_param = 0
+    x_masks, z_masks = [], []
     for layer in range(layers):
-        for kind, axis in ((GATE_RX, "X"), (GATE_RY, "Y")):
+        for axis in ("X", "Y"):
             x, z = _AXIS_MASKS[axis]
-            for q in range(n):
-                kinds.append(kind)
-                args.append(q)
-                params.append(next_param)
-                x_masks.append(x << q)
-                z_masks.append(z << q)
-                next_param += 1
+            x_masks.extend(x << q for q in range(n))
+            z_masks.extend(z << q for q in range(n))
         for q1, q2 in spec.brick_pairs(layer):
-            mask = (1 << q1) | (1 << q2)
-            kinds.append(GATE_MS)
-            args.append(mask)
-            params.append(next_param)
-            x_masks.append(mask)
+            x_masks.append((1 << q1) | (1 << q2))
             z_masks.append(0)
-            next_param += 1
     perms, coeffs = _tables(np.array(x_masks), np.array(z_masks), 1 << n)
     return GateProgram(
-        n=n,
-        kinds=np.array(kinds, dtype=np.int8),
-        args=np.array(args, dtype=np.int64),
-        params=np.array(params, dtype=np.int64),
-        param_count=next_param,
+        params=np.arange(len(x_masks), dtype=np.int64),
+        param_count=len(x_masks),
         perms=perms,
         coeffs=coeffs,
     )

@@ -13,3 +13,13 @@ settings.load_profile("default")
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def published_optima():
+    """Published optimal sidelobe energies at the paper's sizes (Packebusch &
+    Mertens, arXiv:1512.02475): an oracle independent of the packaged table."""
+    return {
+        13: 6, 20: 26, 21: 26, 24: 36, 27: 37, 28: 50, 32: 64, 34: 65,
+        36: 82, 38: 87, 40: 108, 41: 108, 42: 101, 43: 109, 44: 122, 45: 118,
+    }

@@ -279,7 +279,7 @@ def _campaign_records(name, config_file):
     return records
 
 
-def test_criterion_10_reduced_campaign_scaling():
+def test_criterion_10_reduced_campaign_scaling(published_optima):
     """Reduced campaign (N in {13, 20, 21, 24, 27, 28}, 20 runs each):
     median-mode fits per parity (three even and three odd sizes, mirroring
     the separate even/odd headline fits) give b in [1.15, 1.55] with
@@ -308,7 +308,7 @@ def test_criterion_10_reduced_campaign_scaling():
             json.loads((ROOT / "configs" / config_file).read_text())
         )
         for n in config.sizes:
-            assert config.levels_for(n)[0] == bench.KNOWN_OPTIMA[n]
+            assert config.levels_for(n)[0] == published_optima[n]
             config.solver_settings(n, seed=0)
     report("PASS criterion 10: full-scale campaign configs resolve")
 

@@ -11,7 +11,6 @@ from pcelabs import bench, pce_solver
 from pcelabs.baselines import exact_solve
 from pcelabs.bench import (
     CampaignConfig,
-    KNOWN_OPTIMA,
     RunRecord,
     ShotBudgetQuery,
     crossover,
@@ -56,9 +55,9 @@ def test_reference_levels_unknown_size():
         reference_levels(64)
 
 
-def test_known_optima_table_spans_benchmark_sizes():
+def test_known_optima_table_spans_benchmark_sizes(published_optima):
     for n in bench.PAPER_SIZES_EVEN + bench.PAPER_SIZES_ODD:
-        assert n in KNOWN_OPTIMA
+        assert reference_levels(n)[0] == published_optima[n]
 
 
 def test_record_round_trip(tmp_path):

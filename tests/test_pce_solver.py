@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from pcelabs import _kernels, state_sim
 from pcelabs.labs_core import sidelobe_energy
-from pcelabs.pauli_algebra import sample_anticommuting_set, sample_commuting_set
+from pcelabs.pauli_algebra import PauliString, sample_anticommuting_set, sample_commuting_set
 from pcelabs.pce_solver import (
     EnergyReferences,
     LossContext,
@@ -27,6 +27,18 @@ from pcelabs.pce_solver import (
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "pce_golden.json").read_text())
 SAMPLERS = {"anticommuting": sample_anticommuting_set, "commuting": sample_commuting_set}
+
+# Run as plain Python, the kernels do the numpy engine's table operations
+# in the same order and match it bit for bit.  Compiled, numba's cos/sin
+# may round differently in the last place.
+KERNEL_ATOL = 1e-10 if _kernels.HAVE_NUMBA else 0.0
+
+
+@pytest.fixture
+def numba_engine(monkeypatch):
+    """Lets engine="numba" run where numba is missing: the njit shim then
+    leaves the kernels un-jitted."""
+    monkeypatch.setattr(_kernels, "HAVE_NUMBA", True)
 
 
 def make_context(
@@ -86,20 +98,37 @@ def test_parameter_shift_matches_finite_differences():
         assert analytic[k] == pytest.approx(fd, abs=1e-5)
 
 
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba unavailable")
-def test_adjoint_gradient_equals_parameter_shift():
-    """The fast reverse-mode gradient must agree with the shift rule to
-    numerical precision in exact simulation."""
+def test_kernel_turn_equals_state_sim_turn():
+    """The kernels' gate loop is ``state_sim.turn`` element by element, for
+    every 3-qubit generator, diagonal ones included."""
+    n, dim = 3, 8
+    paulis = [PauliString(n, x, z) for x in range(dim) for z in range(dim) if x or z]
+    rng = np.random.default_rng(9)
+    angles = rng.uniform(-np.pi, np.pi, len(paulis))
+    for perm, coeff, t in zip(*state_sim.pauli_tables(paulis, dim), angles):
+        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        want = psi[None, :].copy()
+        state_sim.turn(want, perm, 1j * np.sin(t / 2) * coeff, np.cos(t / 2))
+        _kernels._turn(psi, perm, coeff, np.cos(t / 2), np.sin(t / 2))
+        np.testing.assert_allclose(psi, want[0], rtol=0, atol=KERNEL_ATOL)
+
+
+@pytest.mark.parametrize("mode", ["anticommuting", "commuting"])
+def test_adjoint_gradient_equals_parameter_shift(mode, numba_engine):
+    """The kernel's reverse-mode gradient must equal the numpy engine's and
+    agree with the shift rule to numerical precision, on the paper's
+    4-qubit, 15-layer ansatz."""
     for seed in range(5):
-        ctx_fast = make_context(seed=seed, engine="numba")
-        ctx_ref = make_context(seed=seed, engine="numpy")
+        kw = dict(n=4, layers=15, N=28, seed=seed, mode=mode)
+        ctx_fast = make_context(engine="numba", **kw)
+        ctx_ref = make_context(engine="numpy", **kw)
         theta = np.random.default_rng(100 + seed).uniform(
             -np.pi, np.pi, ctx_fast.spec.param_count
         )
+        grad = ctx_fast.gradient(theta)
+        np.testing.assert_allclose(grad, ctx_ref.gradient(theta), rtol=0, atol=KERNEL_ATOL)
         np.testing.assert_allclose(
-            ctx_fast.gradient(theta),
-            parameter_shift_gradient(ctx_ref, theta),
-            atol=1e-10,
+            grad, parameter_shift_gradient(ctx_ref, theta), atol=1e-10
         )
 
 
@@ -144,30 +173,42 @@ def test_solve_evolves_one_row_per_counted_eval(monkeypatch):
     assert set(rows) == {1}
 
 
-@pytest.mark.parametrize(
-    "case", GOLDEN["solve"], ids=lambda c: f"N{c['N']}-{c['mode']}-shots{c['shots']}-seed{c['seed']}"
-)
-def test_solve_matches_golden_records(case):
-    config = PceConfig(
+def golden_config(case, engine):
+    return PceConfig(
         pauli_mode=case["mode"],
         shots=case["shots"],
         seed=case["seed"],
         restart_cap=2,
         iters_per_restart=9,
-        engine="numpy",
+        engine=engine,
     )
-    assert solve(case["N"], config).to_dict() == case["result"]
 
 
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba unavailable")
-def test_engines_agree_on_expectations():
-    ctx_fast = make_context(seed=7, engine="numba")
-    ctx_ref = make_context(seed=7, engine="numpy")
+def golden_id(case):
+    return f"N{case['N']}-{case['mode']}-shots{case['shots']}-seed{case['seed']}"
+
+
+@pytest.mark.parametrize("case", GOLDEN["solve"], ids=golden_id)
+def test_solve_matches_golden_records(case):
+    assert solve(case["N"], golden_config(case, "numpy")).to_dict() == case["result"]
+
+
+@pytest.mark.parametrize("case", GOLDEN["solve"], ids=golden_id)
+def test_numba_engine_matches_golden_records(case, numba_engine):
+    assert solve(case["N"], golden_config(case, "numba")).to_dict() == case["result"]
+
+
+@pytest.mark.parametrize("mode", ["anticommuting", "commuting"])
+def test_engines_agree_on_expectations(mode, numba_engine):
+    kw = dict(n=4, layers=15, N=28, seed=7, mode=mode)
+    ctx_fast = make_context(engine="numba", **kw)
+    ctx_ref = make_context(engine="numpy", **kw)
     thetas = np.random.default_rng(11).uniform(-np.pi, np.pi, (4, ctx_fast.spec.param_count))
     np.testing.assert_allclose(
         ctx_fast.exact_expectations(thetas),
         ctx_ref.exact_expectations(thetas),
-        atol=1e-12,
+        rtol=0,
+        atol=KERNEL_ATOL,
     )
 
 

@@ -7,10 +7,6 @@ from scipy.linalg import expm
 from pcelabs.pauli_algebra import PauliString
 from pcelabs.state_sim import (
     AnsatzSpec,
-    GATE_MS,
-    GATE_RX,
-    GATE_RY,
-    GATE_RZ,
     apply_ms,
     apply_rotation,
     expectation,
@@ -85,10 +81,14 @@ def test_brick_pairs_alternate_and_wrap():
 def test_gate_program_shape():
     spec = AnsatzSpec(4, 3)
     program = spec.gate_program()
-    rotations = sum(1 for k in program.kinds if k in (GATE_RX, GATE_RY))
-    ms_gates = sum(1 for k in program.kinds if k == GATE_MS)
+    # perm[0] of a generator table is its X mask: one qubit for RX and RY,
+    # two for MS
+    weights = np.bitwise_count(program.perms[:, 0])
+    rotations = np.count_nonzero(weights == 1)
+    ms_gates = np.count_nonzero(weights == 2)
     assert rotations == 4 * 2 * 3
     assert ms_gates == 6
+    assert rotations + ms_gates == program.params.size
     assert max(program.params) + 1 == spec.param_count
 
 
