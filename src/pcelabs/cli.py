@@ -58,13 +58,13 @@ def _default_workers() -> int:
 
 
 def _load_references(n: int, enabled: bool) -> EnergyReferences | None:
+    """The packaged reference levels for N, or None with ``--no-refs``.
+
+    A size the table lacks raises ``ValueError`` (exit code 2), so a run
+    never goes without a target unless asked to."""
     if not enabled:
         return None
-    try:
-        levels = bench.reference_levels(n)
-    except ValueError:
-        return None
-    return EnergyReferences.from_levels(levels)
+    return EnergyReferences.from_levels(bench.reference_levels(n))
 
 
 def _config_kwargs(args, names) -> dict:

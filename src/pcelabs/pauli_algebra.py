@@ -20,7 +20,8 @@ class symplectically self-orthogonal, i.e. commuting.  The class at
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -36,6 +37,10 @@ __all__ = [
 
 MAX_QUBITS = 12
 ATTEMPT_CAP = 10**6
+# Rejected draws in a row before the strict phase enumerates extensions.
+_REJECTION_LIMIT = 512
+# Most candidate strings drawn and tested in one call.
+_DRAW_BLOCK = 128
 
 # Irreducible polynomials over GF(2), one per degree, lowest bit = x^0.
 _IRREDUCIBLE = {
@@ -173,16 +178,15 @@ class PauliSet:
 # GF(2^n) arithmetic on int bit masks.
 
 
-def _gf_mul(a: int, b: int, n: int) -> int:
+def _gf_mul(a, b, n: int):
+    """Product in GF(2^n) of two ints, or elementwise of int arrays."""
     poly = _IRREDUCIBLE[n]
-    out = 0
-    while b:
-        if b & 1:
-            out ^= a
-        b >>= 1
-        a <<= 1
-        if a >> n & 1:
-            a ^= poly
+    out = a & 0
+    for _ in range(n):
+        out = out ^ (a * (b & 1))
+        b = b >> 1
+        a = a << 1
+        a = a ^ (poly * (a >> n & 1))
     return out
 
 
@@ -217,11 +221,27 @@ def _pow_x(k: int, n: int) -> int:
     return out
 
 
-def _apply_bit_matrix(rows: Sequence[int], v: int) -> int:
-    out = 0
-    for i, row in enumerate(rows):
-        out |= ((row & v).bit_count() & 1) << i
-    return out
+@lru_cache(maxsize=MAX_QUBITS)
+def _mub_codes(n: int) -> np.ndarray:
+    """(2^n + 1, 2^n) table of string codes: row m < 2^n, column a holds
+    (a, G(m * a)), the member a of the class labelled m; row 2^n holds the
+    Z-type member (0, a).  Column 0 is the identity and never used.  Codes
+    have 2n <= 24 bits, so int32 holds them.  The table takes about 4^n * 4
+    bytes and stays cached for the process: 263 KB at 8 qubits, 67 MB at
+    the 12-qubit maximum."""
+    size = 1 << n
+    a = np.arange(size, dtype=np.int64)
+    table = np.empty((size + 1, size), dtype=np.int32)
+    table[size] = a
+    rows = _trace_gram_rows(n)
+    for slope in range(size):
+        product = _gf_mul(slope, a, n)
+        z = np.zeros(size, dtype=np.int64)
+        for i, row in enumerate(rows):
+            z |= (np.bitwise_count(product & row).astype(np.int64) & 1) << i
+        table[slope] = _code(a, z, n)
+    table.flags.writeable = False
+    return table
 
 
 def mub_partition(n: int) -> list[PauliSet]:
@@ -233,18 +253,16 @@ def mub_partition(n: int) -> list[PauliSet]:
     """
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
-    rows = _trace_gram_rows(n)
-    size = 1 << n
-    classes = []
-    z_class = [PauliString(n, 0, z) for z in range(1, size)]
-    classes.append(PauliSet(n=n, mode="commuting", paulis=z_class))
-    for slope in range(size):
-        members = []
-        for a in range(1, size):
-            z = _apply_bit_matrix(rows, _gf_mul(slope, a, n))
-            members.append(PauliString(n, a, z))
-        classes.append(PauliSet(n=n, mode="commuting", paulis=members))
-    return classes
+    table = _mub_codes(n)
+    low = (1 << n) - 1
+    return [
+        PauliSet(
+            n=n,
+            mode="commuting",
+            paulis=[PauliString(n, int(c) >> n, int(c) & low) for c in table[row, 1:]],
+        )
+        for row in [len(table) - 1, *range(len(table) - 1)]
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +330,13 @@ class SetSamplingError(RuntimeError):
     """Raised when the attempt budget runs out before the set is complete."""
 
 
-def _draw_code(n: int, rng: np.random.Generator, rows: Sequence[int]) -> tuple[int, int]:
-    """Uniformly random traceless string, drawn as (MUB class, member)."""
-    size = 1 << n
-    cls = int(rng.integers(size + 1))
-    a = int(rng.integers(1, size))
-    if cls == size:
-        return 0, a
-    return a, _apply_bit_matrix(rows, _gf_mul(cls, a, n))
+def _draw_candidates(table: np.ndarray, bounds, rng: np.random.Generator, k: int) -> np.ndarray:
+    """k uniformly random traceless strings, each drawn as (MUB class,
+    member): the stream of k scalar draw pairs, taken in one call.
+    ``bounds`` are the interleaved (low, high) arrays of a full block."""
+    low, high = bounds
+    pairs = rng.integers(low[: 2 * k], high[: 2 * k])
+    return table[pairs[0::2], pairs[1::2]]
 
 
 def _grow_set(n: int, count: int, rng: np.random.Generator, mode: str) -> PauliSet:
@@ -329,8 +346,10 @@ def _grow_set(n: int, count: int, rng: np.random.Generator, mode: str) -> PauliS
         raise ValueError("more strings requested than exist")
     want = 0 if mode == "commuting" else 1
     strict_cap = (1 << n) - 1 if mode == "commuting" else 2 * n + 1
-    rows = _trace_gram_rows(n)
-    rejection_limit = 512
+    table = _mub_codes(n)
+    size = 1 << n
+    bounds = np.tile([0, 1], _DRAW_BLOCK), np.tile([size + 1, size], _DRAW_BLOCK)
+    low = size - 1
 
     accepted: list[tuple[int, int]] = []
     attempts = 0
@@ -340,13 +359,13 @@ def _grow_set(n: int, count: int, rng: np.random.Generator, mode: str) -> PauliS
             raise SetSamplingError(
                 f"no pairwise {mode} extension found within {ATTEMPT_CAP} attempts"
             )
-        attempts += 1
-        if rejects_since_accept >= rejection_limit:
+        if rejects_since_accept >= _REJECTION_LIMIT:
             # Rejection sampling is stalling; enumerate valid extensions.
+            attempts += 1
             valid = _scan_candidates(n, accepted, want)
             if valid.size:
                 code = int(valid[int(rng.integers(valid.size))])
-                accepted.append((code >> n, code & ((1 << n) - 1)))
+                accepted.append((code >> n, code & low))
             elif mode == "anticommuting":
                 # Greedy anticommuting growth can wedge below 2n + 1
                 # (e.g. {XI, YI, ZI} admits no further anticommuter);
@@ -356,45 +375,61 @@ def _grow_set(n: int, count: int, rng: np.random.Generator, mode: str) -> PauliS
                 raise SetSamplingError("commuting extension scan came up empty")
             rejects_since_accept = 0
             continue
-        x_mask, z_mask = _draw_code(n, rng, rows)
-        if (x_mask, z_mask) in accepted:
-            rejects_since_accept += 1
+        # Draw a block of candidates and test them together.  The block
+        # never crosses a stall scan or the attempt cap, so it stands for
+        # the same draws taken one at a time; on a hit the generator is
+        # rewound and advanced by exactly the draws up to the hit.
+        k = min(_DRAW_BLOCK, _REJECTION_LIMIT - rejects_since_accept, ATTEMPT_CAP - attempts)
+        state = rng.bit_generator.state
+        codes = _draw_candidates(table, bounds, rng, k)
+        taken = np.array([_code(x, z, n) for x, z in accepted], dtype=np.int64)
+        ok = _score_candidates(n, accepted, want, codes) == len(accepted)
+        hits = np.flatnonzero(ok & (codes[:, None] != taken).all(axis=1))
+        if hits.size == 0:
+            attempts += k
+            rejects_since_accept += k
             continue
-        ok = True
-        for ax, az in accepted:
-            par = ((x_mask & az).bit_count() + (z_mask & ax).bit_count()) % 2
-            if par != want:
-                ok = False
-                break
-        if ok:
-            accepted.append((x_mask, z_mask))
-            rejects_since_accept = 0
-        else:
-            rejects_since_accept += 1
+        hit = int(hits[0])
+        rng.bit_generator.state = state
+        _draw_candidates(table, bounds, rng, hit + 1)
+        attempts += hit + 1
+        code = int(codes[hit])
+        accepted.append((code >> n, code & low))
+        rejects_since_accept = 0
 
     strict_count = len(accepted)
+    # Past the strict cap: fall back to candidates that satisfy the
+    # relation against as many accepted strings as possible.  Up to 8
+    # qubits every string is a candidate, and its score is kept up to date
+    # as strings are accepted.
+    pool = None
+    if n <= 8 and strict_count < count:
+        pool = np.arange(1, 1 << (2 * n), dtype=np.int64)
+        pool_score = _score_candidates(n, accepted, want, pool)
+        free = np.ones(pool.size, dtype=bool)
+        free[[_code(x, z, n) - 1 for x, z in accepted]] = False
     while len(accepted) < count:
-        # Past the strict cap: fall back to candidates that satisfy the
-        # relation against as many accepted strings as possible.
         if attempts >= ATTEMPT_CAP:
             raise SetSamplingError(
                 f"fallback phase exhausted {ATTEMPT_CAP} attempts"
             )
-        if n <= 8:
-            codes = np.arange(1, 1 << (2 * n), dtype=np.int64)
+        if pool is not None:
+            attempts += pool.size
+            codes, score = pool[free], pool_score[free]
         else:
             codes = rng.integers(1, 1 << (2 * n), size=4096, dtype=np.int64)
-        attempts += codes.size
-        taken = np.fromiter(
-            (_code(x, z, n) for x, z in accepted), dtype=np.int64, count=len(accepted)
-        )
-        codes = codes[~np.isin(codes, taken)]
+            attempts += codes.size
+            taken = np.array([_code(x, z, n) for x, z in accepted], dtype=np.int64)
+            codes = codes[~np.isin(codes, taken)]
+            score = _score_candidates(n, accepted, want, codes)
         if codes.size == 0:
             continue
-        score = _score_candidates(n, accepted, want, codes)
         best = codes[score == score.max()]
         code = int(best[int(rng.integers(best.size))])
-        accepted.append((code >> n, code & ((1 << n) - 1)))
+        accepted.append((code >> n, code & low))
+        if pool is not None:
+            pool_score += _sym_parity_array(pool, code >> n, code & low, n) == want
+            free[code - 1] = False
 
     paulis = [PauliString(n, x, z) for x, z in accepted]
     return PauliSet(n=n, mode=mode, paulis=paulis, strict_count=strict_count)

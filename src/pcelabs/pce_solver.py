@@ -15,6 +15,7 @@ what the time-to-solution counters measure.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
@@ -29,6 +30,15 @@ from pcelabs.pauli_algebra import (
     sample_commuting_set,
 )
 from pcelabs.state_sim import AnsatzSpec
+
+# Largest number of restarts run in lockstep, one angle row each, and
+# the most amplitudes (rows x 2^n) a lockstep batch holds.  Past about
+# 2^11 amplitudes the arithmetic outweighs the per-gate overhead that
+# lockstep shares: per row, a 15-layer step at 10 qubits is fastest at 2
+# rows and at 8 qubits at 8-16, while the adjoint sweep's memory grows
+# with the batch.
+LOCKSTEP_ROWS = 32
+LOCKSTEP_AMPLITUDES = 1 << 11
 
 __all__ = [
     "PceConfig",
@@ -213,13 +223,16 @@ def resolve_engine(engine: str) -> str:
 
 
 class LossContext:
-    """Loss, expectations, and gradients for one ansatz + Pauli set.
+    """Loss, expectations, and gradients for one ansatz and its Pauli sets.
 
-    Owns the evaluation counter: every decoded loss evaluation adds 1,
-    and each analytic gradient adds 2 * P more when
-    ``count_gradient_evals`` is set (the cost a parameter-shift pass
-    would bill on hardware).  Gradients are always computed from exact
-    expectations; finite shots affect only loss evaluation and decoding.
+    ``paulis`` is one Pauli list shared by every angle row, or a list of
+    B Pauli lists, one per row of a (B, P) angle matrix: B restarts run
+    in lockstep.  Owns the evaluation counter: every decoded loss
+    evaluation of a row adds 1, and each analytic gradient row adds 2 * P
+    more when ``count_gradient_evals`` is set (the cost a parameter-shift
+    pass would bill on hardware).  Gradients are always computed from
+    exact expectations; finite shots affect only loss evaluation and
+    decoding.
     """
 
     def __init__(
@@ -244,15 +257,25 @@ class LossContext:
         self.program = spec.gate_program()
         self.tables = state_sim.pauli_tables(self.paulis, 1 << spec.n)
         self.engine = resolve_engine(engine)
+        self._work = None  # adjoint work array, kept from step to step
 
     # -- raw engine calls (uncounted) --
+
+    def _row_tables(self, rows: int):
+        """The (perms, coeffs) Pauli tables of each of ``rows`` angle rows."""
+        perms, coeffs = self.tables
+        if perms.ndim == 2:
+            return itertools.repeat((perms, coeffs), rows)
+        return zip(perms, coeffs)
 
     def _forward(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(B, 2^n) states and (B, N) exact expectations for (B, P) angles."""
         if self.engine == "numba":
             prog = self.program
             states = _kernels.evolve_batch(prog.perms, prog.coeffs, prog.params, thetas)
-            return states, _kernels.pauli_expectations(states, *self.tables)
+            tables = self._row_tables(len(states))
+            expect = [_kernels.pauli_expectations(psi[None], *t) for psi, t in zip(states, tables)]
+            return states, np.concatenate(expect)
         states = state_sim.run_ansatz_batch(self.spec, thetas)
         return states, state_sim.expectations_batch(states, self.tables)
 
@@ -271,22 +294,30 @@ class LossContext:
         hits = self.rng.binomial(self.shots, p)
         return (2.0 * hits - self.shots) / self.shots
 
-    def _measured(self, exact: np.ndarray) -> np.ndarray:
-        return self._sample(exact) if self.shots > 0 else exact
-
-    def expectations(self, theta: np.ndarray) -> np.ndarray:
-        """(N,) expectations for one angle vector; sampled when shots > 0."""
-        return self._measured(self.exact_expectations(theta)[0])
-
     # -- counted evaluations --
+
+    def step(
+        self, theta: np.ndarray, gradient: bool = True
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """One counted loss evaluation per angle row, from a single forward
+        pass: the expectations (sampled when shots > 0) and, if
+        ``gradient``, the uncounted loss gradient, else None.  ``theta``
+        is (P,) or (B, P); the results have the same leading shape."""
+        thetas = np.atleast_2d(np.asarray(theta, dtype=np.float64))
+        states, exact = self._forward(thetas)
+        e = self._sample(exact) if self.shots > 0 else exact
+        self.evals += len(thetas)
+        grad = self.gradient(thetas, (states, exact)) if gradient else None
+        if np.ndim(theta) == 1:
+            return e[0], None if grad is None else grad[0]
+        return e, grad
 
     def loss_from_expectations(self, expectations: np.ndarray) -> float:
         return relaxed_loss(relax(expectations, self.alpha), self.beta)
 
     def value_and_expectations(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         """One counted loss evaluation; returns (loss, expectations)."""
-        e = self.expectations(theta)
-        self.evals += 1
+        e, _ = self.step(theta, gradient=False)
         return self.loss_from_expectations(e), e
 
     def value(self, theta: np.ndarray) -> float:
@@ -296,31 +327,28 @@ class LossContext:
         self, theta: np.ndarray, forward: tuple[np.ndarray, np.ndarray] | None = None
     ) -> np.ndarray:
         """Analytic dL/dtheta by one adjoint sweep on either engine; equal to
-        parameter shift.  ``forward`` is the (state, exact expectations)
-        pair at theta when the caller has already evolved it."""
-        theta = np.asarray(theta, dtype=np.float64)
-        if forward is None:
-            states, exact = self._forward(theta[None, :])
-            forward = states[0], exact[0]
-        psi, exact = forward
-        weights = self._loss_weights(exact)
-        lam = weights @ (self.tables.coeffs * psi[self.tables.perms])
-        adjoint = _kernels.adjoint_gradient if self.engine == "numba" else _adjoint_gradient
+        parameter shift.  ``theta`` is (P,) or (B, P), one gradient per
+        row.  ``forward`` is the (states, exact expectations) pair at the
+        (B, P) angles when the caller has already evolved them."""
+        thetas = np.atleast_2d(np.asarray(theta, dtype=np.float64))
+        states, exact = self._forward(thetas) if forward is None else forward
+        lams = np.empty_like(states)
+        for b, (perms, coeffs) in enumerate(self._row_tables(len(thetas))):
+            lams[b] = self._loss_weights(exact[b]) @ (coeffs * states[b][perms])
         prog = self.program
-        grad = adjoint(prog.perms, prog.coeffs, prog.params, theta, psi, lam)
+        tables = (prog.perms, prog.coeffs, prog.params)
+        if self.engine == "numba":
+            grad = np.array(
+                [_kernels.adjoint_gradient(*tables, *row) for row in zip(thetas, states, lams)]
+            )
+        else:
+            shape = (3 * prog.params.size + 2, len(thetas), states.shape[1])
+            if self._work is None or self._work.shape != shape:
+                self._work = np.empty(shape, dtype=np.complex128)
+            grad = _adjoint_gradient(*tables, thetas, states, lams, self._work)
         if self.count_gradient_evals:
-            self.evals += 2 * prog.param_count
-        return grad
-
-    def step(self, theta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        """One counted loss evaluation and its uncounted gradient, from a
-        single forward pass."""
-        theta = np.asarray(theta, dtype=np.float64)
-        states, exact = self._forward(theta[None, :])
-        e = self._measured(exact[0])
-        self.evals += 1
-        grad = self.gradient(theta, (states[0], exact[0]))
-        return self.loss_from_expectations(e), e, grad
+            self.evals += 2 * prog.param_count * len(thetas)
+        return grad if np.ndim(theta) == 2 else grad[0]
 
     def _loss_weights(self, exact_e: np.ndarray) -> np.ndarray:
         x_tilde = relax(exact_e, self.alpha)
@@ -332,32 +360,50 @@ def _adjoint_gradient(
     perms: np.ndarray,
     coeffs: np.ndarray,
     params: np.ndarray,
-    theta: np.ndarray,
-    psi: np.ndarray,
-    lam: np.ndarray,
+    thetas: np.ndarray,
+    psis: np.ndarray,
+    lams: np.ndarray,
+    work: np.ndarray,
 ) -> np.ndarray:
-    """d<psi(theta)|A|psi(theta)>/dtheta by one reverse sweep, numpy engine.
+    """d<psi_b(theta_b)|A_b|psi_b(theta_b)>/dtheta_b by one reverse sweep
+    for every row b, numpy engine.
 
-    psi is the circuit output for theta and lam = A psi for a Hermitian A
-    (here sum_i w_i P_i).  Both are un-applied gate by gate as one (2, 2^n)
-    array; gate g, with U_g = exp(-i t G_g / 2), contributes
-    Im<lam|G_g|psi> read with both vectors just past it.  Takes the same
-    arguments as ``_kernels.adjoint_gradient`` and does the same table
-    operations in the same order.
+    psis[b] is the circuit output for the angles thetas[b] and lams[b] =
+    A_b psis[b] for a Hermitian A_b (here sum_i w_i P_i).  All of them are
+    un-applied gate by gate as one (2, B, 2^n) array, each row at its own
+    angle; gate g, with U_g = exp(-i t G_g / 2), contributes
+    Im<lam|G_g|psi> read with both vectors just past it.  Per row it does
+    the table operations of ``_kernels.adjoint_gradient`` in the same
+    order.
+
+    ``work`` is a (3G + 2, B, 2^n) complex array for G gates, which the
+    sweep overwrites with its trail and gate weights: at B = 1 the memory
+    of a one-row sweep.  Passing the same one on every step keeps the
+    allocator from mapping and zero-filling these pages afresh each time:
+    at B = 16 that took about a fifth of a step on a 2-CPU host.
     """
-    half = theta[params] / 2.0
+    rows = len(thetas)
+    count = params.size
+    trail = work[: 2 * count + 2].reshape(count + 1, 2, rows, -1)
+    weights = work[2 * count + 2 :]
+    half = thetas[:, params].T[:, :, None] / 2.0
     cos = np.cos(half)
-    weights = -1j * np.sin(half)[:, None] * coeffs
-    count = half.size
-    trail = np.empty((count + 1, 2, psi.size), dtype=np.complex128)
-    trail[count] = psi, lam
+    np.multiply(-1j * np.sin(half), coeffs[:, None, :], out=weights)
+    trail[count] = psis, lams
+    sweep = trail
+    if rows == 1:
+        # The same memory in a one-row sweep's shapes: scalars and (2^n,)
+        # rows broadcast faster than (1, 1) and (1, 2^n) arrays.
+        sweep, weights, cos = trail[:, :, 0], weights[:, 0], cos[:, 0, 0]
     for g in range(count - 1, -1, -1):
-        trail[g] = trail[g + 1]
-        state_sim.turn(trail[g], perms[g], weights[g], cos[g])
+        sweep[g] = sweep[g + 1]
+        state_sim.turn(sweep[g], perms[g], weights[g], cos[g])
     past = trail[1:]
-    g_psi = coeffs * np.take_along_axis(past[:, 0], perms, axis=1)
-    grad = np.zeros(theta.size)
-    grad[params] = np.einsum("gc,gc->g", past[:, 1].conj(), g_psi).imag
+    gates = np.arange(count)[:, None]
+    grad = np.zeros(thetas.shape)
+    for b in range(rows):
+        g_psi = coeffs * past[gates, 0, b, perms]
+        grad[b, params] = np.einsum("gc,gc->g", past[:, 1, b].conj(), g_psi).imag
     return grad
 
 
@@ -383,11 +429,14 @@ def parameter_shift_gradient(ctx: LossContext, theta: np.ndarray) -> np.ndarray:
 
 
 class _Adam:
-    def __init__(self, size: int, step: float, b1=0.9, b2=0.999, eps=1e-8):
+    """Adam on an angle array of any shape; the update is elementwise, so
+    each row of a (B, P) array moves as it would alone."""
+
+    def __init__(self, shape, step: float, b1=0.9, b2=0.999, eps=1e-8):
         self.step = step
         self.b1, self.b2, self.eps = b1, b2, eps
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
+        self.m = np.zeros(shape)
+        self.v = np.zeros(shape)
         self.t = 0
 
     def update(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -400,17 +449,17 @@ class _Adam:
 
 
 class _Sgd:
-    def __init__(self, size: int, step: float):
+    def __init__(self, shape, step: float):
         self.step = step
 
     def update(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
         return theta - self.step * grad
 
 
-def _make_optimizer(config: PceConfig, size: int):
+def _make_optimizer(config: PceConfig, shape):
     if config.optimizer == "adam":
-        return _Adam(size, config.step_size)
-    return _Sgd(size, config.step_size)
+        return _Adam(shape, config.step_size)
+    return _Sgd(shape, config.step_size)
 
 
 def _sample_pauli_set(
@@ -527,6 +576,14 @@ def solve(
     references the solver runs its full budget and reports the best
     sequence seen.  Identical (N, config) pairs give identical results.
 
+    With exact expectations a restart draws nothing after its first
+    evaluation, so on the numpy engine restarts run in lockstep, in
+    batches of 2, 4, ..., LOCKSTEP_ROWS drawn in order (fewer once the
+    batch would pass LOCKSTEP_AMPLITUDES), and are observed restart by
+    restart afterwards: the result does not depend on the batch size.
+    With shots, under a shared budget, or on the numba engine, whose
+    kernels have no per-gate overhead to share, batches hold one restart.
+
     A caller sharing an evaluation budget passes what is left of it as
     ``_eval_budget``: the run ends, without a gradient, on the evaluation
     after which a further step would not fit.
@@ -536,16 +593,25 @@ def solve(
     rng = np.random.default_rng(config.seed)
     spec = config.ansatz()
     counters = _CounterState(N, references)
+    iters = config.iters_per_restart
+    step_cost = 1 + (2 * spec.param_count if config.count_gradient_evals else 0)
+    lockstep = (
+        config.shots == 0 and _eval_budget is None and resolve_engine(config.engine) == "numpy"
+    )
+    most = min(LOCKSTEP_ROWS, max(1, LOCKSTEP_AMPLITUDES >> spec.n)) if lockstep else 1
     restarts_used = 0
     total_evals = 0
-    done = False
-    step_cost = 1 + (2 * spec.param_count if config.count_gradient_evals else 0)
-    for _ in range(config.restart_cap):
-        restarts_used += 1
-        pauli_set = _sample_pauli_set(config, N, rng)
+    rows = 1
+    while restarts_used < config.restart_cap:
+        rows = min(2 * rows, most)
+        batch = min(rows, config.restart_cap - restarts_used)
+        pauli_sets, thetas = [], []
+        for _ in range(batch):
+            pauli_sets.append(_sample_pauli_set(config, N, rng).paulis)
+            thetas.append(rng.uniform(-math.pi, math.pi, spec.param_count))
         ctx = LossContext(
             spec,
-            pauli_set.paulis,
+            pauli_sets,
             alpha=config.resolved_alpha(),
             beta=config.beta,
             shots=config.shots,
@@ -553,26 +619,32 @@ def solve(
             engine=config.engine,
             count_gradient_evals=config.count_gradient_evals,
         )
-        ctx.evals = total_evals
-        theta = rng.uniform(-math.pi, math.pi, spec.param_count)
-        optimizer = _make_optimizer(config, spec.param_count)
+        thetas = np.array(thetas)
+        optimizer = _make_optimizer(config, thetas.shape)
+        spent = []  # evaluations each restart of the batch has cost, per step
+        trail = []  # (energies, sequences) of the batch, per step
         # The initial angles are evaluated and decoded too, so a restart
         # costs iters_per_restart + 1 loss evaluations.
-        for it in range(config.iters_per_restart + 1):
-            last = _eval_budget is not None and ctx.evals + step_cost >= _eval_budget
-            if it < config.iters_per_restart and not last:
-                _, e, grad = ctx.step(theta)
-            else:
-                _, e = ctx.value_and_expectations(theta)
-                grad = None
-            sequence = decode(e)
-            energy = sidelobe_energy(sequence)
-            if counters.observe(sequence, energy, ctx.evals) or last:
-                done = True
-                break
+        for it in range(iters + 1):
+            last = _eval_budget is not None and total_evals + ctx.evals + step_cost >= _eval_budget
+            e, grad = ctx.step(thetas, gradient=it < iters and not last)
+            spent.append(ctx.evals // batch)
+            sequences = decode(e)
+            energies = [sidelobe_energy(x) for x in sequences]
+            trail.append((energies, sequences))
+            # The batch's first restart comes first in the count, so it is
+            # observed as it runs and the exact level stops it at once.
+            if counters.observe(sequences[0], energies[0], total_evals + spent[-1]) or last:
+                return counters.result("pce", config.seed, total_evals + spent[-1], restarts_used + 1)
             if grad is not None:
-                theta = optimizer.update(theta, grad)
-        total_evals = ctx.evals
-        if done:
-            break
+                thetas = optimizer.update(thetas, grad)
+        # The others follow it restart by restart.
+        cost = spent[-1]
+        for k in range(1, batch):
+            for (energies, sequences), done in zip(trail, spent):
+                index = total_evals + k * cost + done
+                if counters.observe(sequences[k], energies[k], index):
+                    return counters.result("pce", config.seed, index, restarts_used + k + 1)
+        total_evals += batch * cost
+        restarts_used += batch
     return counters.result("pce", config.seed, total_evals, restarts_used)

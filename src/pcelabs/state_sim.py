@@ -37,19 +37,11 @@ __all__ = [
     "pauli_tables",
     "turn",
     "zero_state",
-    "apply_rotation",
-    "apply_ms",
-    "apply_single_qubit",
     "run_ansatz",
     "run_ansatz_batch",
     "expectation",
     "expectations_batch",
-    "sampled_expectation",
 ]
-
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
-_S_DAGGER = np.array([[1, 0], [0, -1j]], dtype=np.complex128)
-
 
 class GateProgram(NamedTuple):
     """Flat gate list: gate g is exp(-i t G_g / 2) with t the parameter
@@ -73,17 +65,19 @@ _PHASES = np.array([1, 1j, -1, -1j], dtype=np.complex128)
 
 
 def _tables(x_masks: np.ndarray, z_masks: np.ndarray, dim: int) -> PauliTables:
-    perms = np.arange(dim) ^ x_masks[:, None]
-    signs = 1.0 - 2.0 * (np.bitwise_count(perms & z_masks[:, None]) & 1)
+    perms = np.arange(dim) ^ x_masks[..., None]
+    signs = 1.0 - 2.0 * (np.bitwise_count(perms & z_masks[..., None]) & 1)
     phases = _PHASES[np.bitwise_count(x_masks & z_masks) % 4]
-    return PauliTables(perms, phases[:, None] * signs)
+    return PauliTables(perms, phases[..., None] * signs)
 
 
 def pauli_tables(paulis, dim: int) -> PauliTables:
-    """Stacked (len(paulis), dim) tables of a sequence of PauliStrings."""
-    x_masks = np.array([p.x_mask for p in paulis], dtype=np.int64)
-    z_masks = np.array([p.z_mask for p in paulis], dtype=np.int64)
-    return _tables(x_masks, z_masks, dim)
+    """Stacked tables of a sequence of PauliStrings, shape (len(paulis), dim),
+    or of a sequence of B equally long such sequences, shape (B, len, dim)."""
+    strings = np.array(paulis, dtype=object)
+    x_masks = np.array([p.x_mask for p in strings.flat], dtype=np.int64)
+    z_masks = np.array([p.z_mask for p in strings.flat], dtype=np.int64)
+    return _tables(x_masks.reshape(strings.shape), z_masks.reshape(strings.shape), dim)
 
 
 @dataclass(frozen=True)
@@ -155,64 +149,19 @@ def zero_state(n: int, batch: int | None = None) -> np.ndarray:
     return psi
 
 
-def _as_batch(state: np.ndarray) -> tuple[np.ndarray, bool]:
-    if state.ndim == 1:
-        return state[None, :], True
-    return state, False
-
-
-def _mix_pair(states: np.ndarray, qubit: int, m00, m01, m10, m11) -> None:
-    """Apply a 2x2 matrix to one qubit of a (B, 2^n) array, in place."""
-    b, dim = states.shape
-    lo = 1 << qubit
-    hi = dim >> (qubit + 1)
-    view = states.reshape(b, hi, 2, lo)
-    v0 = view[:, :, 0, :].copy()
-    v1 = view[:, :, 1, :]
-    view[:, :, 0, :] = m00 * v0 + m01 * v1
-    view[:, :, 1, :] = m10 * v0 + m11 * v1
-
-
 def turn(states: np.ndarray, perm: np.ndarray, weight: np.ndarray, cos_half) -> None:
-    """psi <- cos_half psi - weight * psi[perm] on every row of a (B, 2^n)
-    array, in place.
+    """psi <- cos_half psi - weight * psi[perm] on every row of a (..., B,
+    2^n) array, in place.
 
     For a generator table (perm, coeff), cos_half = cos(t/2) and weight =
     i sin(t/2) coeff this is psi <- exp(-i t G / 2) psi; t -> -t un-applies
     it.  cos_half is a scalar or a (B, 1) array, weight a (2^n,) or
     (B, 2^n) array, so rows may carry their own angles.
     """
-    turned = states.take(perm, axis=1)
+    turned = states.take(perm, axis=-1)
     turned *= weight
     states *= cos_half
     states -= turned
-
-
-def _apply_generator(state: np.ndarray, x_mask: int, z_mask: int, theta: float) -> np.ndarray:
-    out, single = _as_batch(np.array(state, dtype=np.complex128))
-    perms, coeffs = _tables(np.array([x_mask]), np.array([z_mask]), out.shape[1])
-    turn(out, perms[0], 1j * np.sin(theta / 2.0) * coeffs[0], np.cos(theta / 2.0))
-    return out[0] if single else out
-
-
-def apply_rotation(state: np.ndarray, axis: str, qubit: int, theta: float) -> np.ndarray:
-    """exp(-i theta P_q / 2) applied to a state; returns a new array."""
-    x, z = _AXIS_MASKS[axis.upper()]
-    return _apply_generator(state, x << qubit, z << qubit, theta)
-
-
-def apply_ms(state: np.ndarray, q1: int, q2: int, theta: float) -> np.ndarray:
-    """exp(-i theta X_q1 X_q2 / 2) applied to a state; returns a new array."""
-    if q1 == q2:
-        raise ValueError("MS gate needs two distinct qubits")
-    return _apply_generator(state, (1 << q1) | (1 << q2), 0, theta)
-
-
-def apply_single_qubit(state: np.ndarray, mat: np.ndarray, qubit: int) -> np.ndarray:
-    """Apply an arbitrary 2x2 matrix to one qubit; returns a new array."""
-    out, single = _as_batch(np.array(state, dtype=np.complex128))
-    _mix_pair(out, qubit, mat[0, 0], mat[0, 1], mat[1, 0], mat[1, 1])
-    return out[0] if single else out
 
 
 def run_ansatz_batch(spec: AnsatzSpec, thetas: np.ndarray) -> np.ndarray:
@@ -254,42 +203,14 @@ def expectation(state: np.ndarray, pauli: PauliString) -> float:
 def expectations_batch(states: np.ndarray, paulis) -> np.ndarray:
     """<psi_b|P_i|psi_b> for every state row and Pauli; shape (B, N).
 
-    ``paulis`` is a sequence of PauliStrings or their ``PauliTables``.
+    ``paulis`` is a sequence of PauliStrings or their ``PauliTables``,
+    shared by every row, or (B, N, 2^n) tables with one Pauli list per row.
     """
     states = np.atleast_2d(states)
     if not isinstance(paulis, PauliTables):
         paulis = pauli_tables(paulis, states.shape[1])
-    values = np.einsum("bc,bic->bi", states.conj(), paulis.coeffs * states[:, paulis.perms])
+    rows = np.arange(states.shape[0])[:, None, None]
+    values = np.einsum("bc,bic->bi", states.conj(), paulis.coeffs * states[rows, paulis.perms])
     if np.any(np.abs(values.imag) >= 1e-9):
         raise AssertionError("expectation has imaginary part above 1e-9")
     return values.real.copy()
-
-
-def sampled_expectation(
-    state: np.ndarray, pauli: PauliString, shots: int, rng: np.random.Generator
-) -> float:
-    """Estimate <psi|P|psi> from a finite number of measured shots.
-
-    Rotates each support qubit into the Z eigenbasis (H for X, then
-    S-dagger followed by H for Y), reads the parity distribution, and
-    draws a binomial sample.  shots = 0 would divide by zero and is
-    rejected.
-    """
-    if shots < 1:
-        raise ValueError("shots must be positive")
-    rotated = np.array(state, dtype=np.complex128)
-    for q in range(pauli.n):
-        xb = (pauli.x_mask >> q) & 1
-        zb = (pauli.z_mask >> q) & 1
-        if xb and zb:
-            rotated = apply_single_qubit(rotated, _S_DAGGER, q)
-            rotated = apply_single_qubit(rotated, _HADAMARD, q)
-        elif xb:
-            rotated = apply_single_qubit(rotated, _HADAMARD, q)
-    support = pauli.x_mask | pauli.z_mask
-    probs = np.abs(rotated) ** 2
-    parity = np.bitwise_count((np.arange(probs.size) & support).astype(np.uint64)) & 1
-    p_plus = float(probs[parity == 0].sum())
-    p_plus = min(max(p_plus, 0.0), 1.0)
-    hits = int(rng.binomial(shots, p_plus))
-    return (2 * hits - shots) / shots

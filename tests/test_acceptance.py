@@ -44,14 +44,8 @@ from pcelabs.pce_solver import (
     parameter_shift_gradient,
     solve,
 )
-from pcelabs.state_sim import (
-    AnsatzSpec,
-    apply_ms,
-    apply_rotation,
-    expectation,
-    run_ansatz,
-    zero_state,
-)
+from gate_helpers import apply_ms, apply_rotation
+from pcelabs.state_sim import AnsatzSpec, expectation, run_ansatz, zero_state
 
 ROOT = Path(__file__).resolve().parents[1]
 BARKER_13 = parse_sequence("+++++--++-+-+")

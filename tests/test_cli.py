@@ -193,6 +193,30 @@ def test_records_without_timing_by_default(tmp_path):
     assert record["wall_time"] > 0
 
 
+# Small runs at N = 50, a size the packaged reference table lacks.
+UNLISTED_SIZE_RUNS = {
+    "solve-pce": ["--iters", "2", "--restarts", "1"],
+    "solve-tabu": ["--budget", "500"],
+    "warm-start": ["--pce-runs", "1", "--copies", "2", "--iters", "2", "--restarts", "1",
+                   "--budget", "500"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNLISTED_SIZE_RUNS))
+def test_size_without_references_exits_2(command, capsys):
+    rc, out = run_cli([command, "--n", "50", *UNLISTED_SIZE_RUNS[command]])
+    assert rc == 2
+    assert out == ""
+    assert "no reference energies available for N = 50" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(UNLISTED_SIZE_RUNS))
+def test_size_without_references_runs_with_no_refs(command):
+    doc = run_json([command, "--n", "50", "--no-refs", *UNLISTED_SIZE_RUNS[command]])
+    assert doc["n"] == 50
+    assert doc["evals_to_exact"] is None
+
+
 def test_invalid_input_exits_2():
     assert run_cli(["eval", "--sequence", "+q-"])[0] == 2
     assert run_cli(["exact", "--n", "2"])[0] == 2

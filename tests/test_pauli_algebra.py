@@ -1,3 +1,4 @@
+import itertools
 import json
 from pathlib import Path
 
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import sampler_oracle
+from pcelabs import pauli_algebra
 from pcelabs.pauli_algebra import (
     _score_candidates,
     _sym_parity_array,
@@ -190,3 +193,54 @@ def test_score_candidates_matches_per_string_loop(want, rng):
     for x_mask, z_mask in accepted:
         loop += _sym_parity_array(codes, x_mask, z_mask, n) == want
     np.testing.assert_array_equal(_score_candidates(n, accepted, want, codes), loop)
+
+
+def grown(grow, n, count, seed, mode):
+    """A sampler's set (or the error it raised) and the next draw after it."""
+    rng = np.random.default_rng(seed)
+    try:
+        out = grow(n, count, rng, mode).to_dict()
+    except (SetSamplingError, ValueError) as err:
+        out = repr(err)
+    return out, int(rng.integers(2**62))
+
+
+@pytest.mark.parametrize("mode", ["anticommuting", "commuting"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_block_sampler_matches_one_draw_at_a_time(n, mode):
+    """Drawing candidates in blocks leaves the set and the generator state
+    as drawing them one at a time does, below and above the strict cap."""
+    strict_cap = (1 << n) - 1 if mode == "commuting" else 2 * n + 1
+    counts = {1, 2, strict_cap - 1, strict_cap, strict_cap + 1, strict_cap + 3, 13, 45}
+    for count in sorted(counts):
+        for seed in range(15):
+            want = grown(sampler_oracle.grow_set, n, count, seed, mode)
+            assert grown(pauli_algebra._grow_set, n, count, seed, mode) == want, (count, seed)
+
+
+@pytest.mark.parametrize("cap", [3, 20, 100, 700])
+def test_block_sampler_fails_where_one_draw_at_a_time_fails(cap, monkeypatch):
+    """Under a small attempt cap both samplers raise at the same point of
+    the stream, or finish with the same set; every cap here makes some
+    of the draws fail."""
+    monkeypatch.setattr(pauli_algebra, "ATTEMPT_CAP", cap)
+    failures = 0
+    for n, mode, seed in itertools.product([2, 3, 4], ["anticommuting", "commuting"], range(5)):
+        want = grown(sampler_oracle.grow_set, n, 2 * n + 3, seed, mode)
+        assert grown(pauli_algebra._grow_set, n, 2 * n + 3, seed, mode) == want, (n, mode, seed)
+        failures += isinstance(want[0], str)
+    assert failures > 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_mub_code_table_matches_field_arithmetic(n):
+    """Each table entry is the member a of class m, (a, G(m * a))."""
+    table = pauli_algebra._mub_codes(n)
+    size = 1 << n
+    for m in range(size):
+        for a in range(1, size):
+            z = sampler_oracle._apply_bit_matrix(
+                pauli_algebra._trace_gram_rows(n), pauli_algebra._gf_mul(m, a, n)
+            )
+            assert table[m, a] == (a << n) | z
+    assert table[size, 1:].tolist() == list(range(1, size))

@@ -1,5 +1,6 @@
 import itertools
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcelabs import _kernels, state_sim
+from pcelabs import _kernels, pce_solver, state_sim
 from pcelabs.labs_core import sidelobe_energy
 from pcelabs.pauli_algebra import PauliString, sample_anticommuting_set, sample_commuting_set
 from pcelabs.pce_solver import (
@@ -148,9 +149,9 @@ def test_step_matches_separate_value_and_gradient():
     stepped = make_context(seed=4, shots=16, engine="numpy")
     separate = make_context(seed=4, shots=16, engine="numpy")
     theta = np.random.default_rng(6).uniform(-np.pi, np.pi, stepped.spec.param_count)
-    loss, e, grad = stepped.step(theta)
+    e, grad = stepped.step(theta)
     want_loss, want_e = separate.value_and_expectations(theta)
-    assert loss == want_loss
+    assert stepped.loss_from_expectations(e) == want_loss
     np.testing.assert_array_equal(e, want_e)
     np.testing.assert_array_equal(grad, separate.gradient(theta))
     assert stepped.evals == separate.evals == 1
@@ -170,7 +171,142 @@ def test_solve_evolves_one_row_per_counted_eval(monkeypatch):
     result = solve(13, config)
     assert result.total_evals == 14
     assert sum(rows) == result.total_evals
-    assert set(rows) == {1}
+    # both restarts run in lockstep: one 2-row evolution per step
+    assert rows == [2] * 7
+
+
+def one_restart_at_a_time(N, config, references=None):
+    """``solve`` with batches of one restart: each restart runs to its end
+    before the next one draws anything."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pce_solver, "LOCKSTEP_ROWS", 1)
+        return solve(N, config, references)
+
+
+# First restart (0-based) of each lockstep batch: 2, 4, 8, 16, 32, ... rows.
+BATCH_STARTS = {0, 2, 6, 14, 30, 62}
+
+
+def test_lockstep_matches_one_restart_at_a_time():
+    """Restarts in lockstep give the record of the same loop run one restart
+    at a time: over restart caps that cross the batch boundaries at 2, 6,
+    14 and 30, and with reference levels that fire inside a batch, so the
+    evaluation counters, the restart count and the total are all checked."""
+    inside = []
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        restart_cap=st.integers(1, 40),
+        iters=st.integers(0, 3),
+        mode=st.sampled_from(["anticommuting", "commuting"]),
+        optimizer=st.sampled_from(["adam", "sgd"]),
+        count_gradient_evals=st.booleans(),
+        gaps=st.none() | st.tuples(st.integers(0, 10), st.integers(0, 6), st.integers(0, 6)),
+    )
+    @settings(max_examples=100)
+    def check(seed, restart_cap, iters, mode, optimizer, count_gradient_evals, gaps):
+        config = PceConfig(
+            n_qubits=3,
+            layers=2,
+            pauli_mode=mode,
+            optimizer=optimizer,
+            iters_per_restart=iters,
+            restart_cap=restart_cap,
+            seed=seed,
+            count_gradient_evals=count_gradient_evals,
+            engine="numpy",
+        )
+        references = None
+        if gaps is not None:
+            # At or above the best energy the run reaches, so the exact
+            # level fires at whichever restart first gets there.
+            exact = one_restart_at_a_time(11, config).best_energy + gaps[0]
+            references = EnergyReferences(exact, exact + gaps[1], exact + gaps[1] + gaps[2])
+        want = one_restart_at_a_time(11, config, references)
+        assert solve(11, config, references).to_dict() == want.to_dict()
+        if want.evals_to_exact is not None and want.restarts_used - 1 not in BATCH_STARTS:
+            inside.append(want.restarts_used)
+
+    check()
+    assert inside, "no exact hit landed inside a batch"
+
+
+def test_lockstep_batches_shrink_with_the_state():
+    """Rows x 2^n stays within LOCKSTEP_AMPLITUDES, in the evolution and in
+    the adjoint sweep's work array: at 8 qubits batches stop at 8 rows, and
+    past 10 qubits restarts run one at a time."""
+    evolved, worked = [], []
+    evolve, adjoint = state_sim.run_ansatz_batch, pce_solver._adjoint_gradient
+
+    def counted(spec, thetas):
+        evolved.append(len(thetas))
+        return evolve(spec, thetas)
+
+    def recorded(*args):
+        worked.append(args[-1].shape)
+        return adjoint(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(state_sim, "run_ansatz_batch", counted)
+        patch.setattr(pce_solver, "_adjoint_gradient", recorded)
+        config = PceConfig(n_qubits=8, layers=1, iters_per_restart=1, restart_cap=40, engine="numpy")
+        solve(13, config)
+        assert evolved == [r for r in (2, 4, 8, 8, 8, 8, 2) for _ in range(2)]
+        gates = config.ansatz().param_count
+        assert worked == [(3 * gates + 2, r, 256) for r in (2, 4, 8, 8, 8, 8, 2)]
+        evolved.clear()
+        solve(13, replace(config, n_qubits=11, restart_cap=3))
+        assert evolved == [1] * 6
+
+
+def test_numba_engine_runs_one_restart_per_batch(numba_engine):
+    """The numba kernels loop over rows, so lockstep would share nothing:
+    on that engine every batch holds one restart."""
+    rows = []
+    evolve = _kernels.evolve_batch
+
+    def counted(perms, coeffs, params, thetas):
+        rows.append(len(thetas))
+        return evolve(perms, coeffs, params, thetas)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernels, "evolve_batch", counted)
+        config = PceConfig(n_qubits=3, layers=2, iters_per_restart=2, restart_cap=5, engine="numba")
+        result = solve(11, config)
+    assert rows == [1] * result.total_evals == [1] * 15
+
+
+@pytest.mark.parametrize("seed", [0, 5, 6, 9])
+def test_exact_hit_inside_a_batch_ends_the_run_there(seed):
+    """An exact hit in a later restart of a batch ends the count at that
+    restart's evaluation; the rest of the batch is discarded."""
+    config = PceConfig(n_qubits=3, layers=2, iters_per_restart=3, restart_cap=40, seed=seed)
+    exact = solve(11, config).best_energy
+    result = solve(11, config, EnergyReferences(exact))
+    assert result.restarts_used - 1 not in BATCH_STARTS
+    assert result.total_evals == result.evals_to_exact
+    assert result.to_dict() == one_restart_at_a_time(11, config, EnergyReferences(exact)).to_dict()
+
+
+@pytest.mark.parametrize("mode", ["anticommuting", "commuting"])
+def test_context_rows_match_single_set_contexts(mode, numba_engine):
+    """A context with one Pauli set per row gives each row the bits a
+    one-set context gives it alone, on both engines: expectations and
+    gradients, on the paper's ansatz."""
+    config = PceConfig(n_qubits=4, layers=15)
+    rng = np.random.default_rng(21)
+    sets = [list(SAMPLERS[mode](4, 28, rng)) for _ in range(5)]
+    thetas = rng.uniform(-np.pi, np.pi, (5, config.ansatz().param_count))
+    for engine in ("numpy", "numba"):
+        rows = LossContext(config.ansatz(), sets, 6.0, 15.0, engine=engine)
+        alone = [LossContext(config.ansatz(), paulis, 6.0, 15.0, engine=engine) for paulis in sets]
+        np.testing.assert_array_equal(
+            rows.exact_expectations(thetas),
+            [ctx.exact_expectations(t)[0] for ctx, t in zip(alone, thetas)],
+        )
+        np.testing.assert_array_equal(
+            rows.gradient(thetas), [ctx.gradient(t) for ctx, t in zip(alone, thetas)]
+        )
 
 
 def golden_config(case, engine):

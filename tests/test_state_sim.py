@@ -4,16 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from gate_helpers import apply_ms, apply_rotation, sampled_expectation
 from pcelabs.pauli_algebra import PauliString
 from pcelabs.state_sim import (
     AnsatzSpec,
-    apply_ms,
-    apply_rotation,
     expectation,
     expectations_batch,
+    pauli_tables,
     run_ansatz,
     run_ansatz_batch,
-    sampled_expectation,
     zero_state,
 )
 
@@ -143,6 +142,17 @@ def test_expectations_batch_matches_loop(rng):
     for b in range(4):
         for i, p in enumerate(paulis):
             assert batch[b, i] == pytest.approx(expectation(states[b], p), abs=1e-12)
+
+
+def test_expectations_batch_takes_one_pauli_list_per_row(rng):
+    lists = [["XIZ", "ZZY"], ["IYI", "XXX"], ["ZII", "IZZ"]]
+    paulis = [[PauliString.from_label(s) for s in labels] for labels in lists]
+    states = np.stack([random_state(rng, 3) for _ in range(3)])
+    tables = pauli_tables(paulis, 8)
+    assert tables.perms.shape == tables.coeffs.shape == (3, 2, 8)
+    batch = expectations_batch(states, tables)
+    for b in range(3):
+        np.testing.assert_array_equal(batch[b], expectations_batch(states[b], paulis[b])[0])
 
 
 def test_sampled_expectation_on_eigenstate(rng):
