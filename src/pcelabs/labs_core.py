@@ -25,7 +25,6 @@ __all__ = [
     "sidelobe_energy",
     "merit_factor",
     "energy_report",
-    "flip_delta",
     "FlipWorkspace",
     "symmetry_images",
     "canonicalize",
@@ -148,40 +147,13 @@ def _padded_terms(xp: np.ndarray, i: int) -> np.ndarray:
     return xp[n - 1 + i] * (xp[n + i : 2 * n - 1 + i] + xp[i : n - 1 + i][::-1])
 
 
-def flip_delta(x: np.ndarray, cache: np.ndarray, i: int) -> int:
-    """Energy change from flipping ``x[i]``, in O(N) using cached ``C_l``.
-
-    Parameters
-    ----------
-    x : array_like
-        Current sequence.
-    cache : array_like
-        ``autocorrelations(x)``; not modified.
-    i : int
-        Position to flip, ``0 <= i < N``.
-
-    Returns
-    -------
-    int
-        ``E(flip(x, i)) - E(x)``.
-    """
-    x = as_spin_array(x)
-    cache = np.asarray(cache, dtype=np.int64)
-    if cache.shape != (x.size - 1,):
-        raise ValueError("cache length does not match sequence")
-    if not 0 <= i < x.size:
-        raise IndexError(f"flip index {i} out of range for length {x.size}")
-    d = _padded_terms(_padded(x), i)
-    return int(4 * np.dot(d, d - cache))
-
-
 class FlipWorkspace:
     """Incremental single-flip evaluation of the sidelobe energy.
 
     Keeps the sequence, its autocorrelations, and its energy in sync so a
-    flip can be scored in O(N) and committed in O(N).  ``propose_all``
-    scores every position in one O(N^2) pass of length-N convolutions,
-    which is what a tabu sweep wants.
+    flip can be committed in O(N).  ``propose_all`` scores every position
+    in one O(N^2) pass of length-N convolutions, which is what a tabu
+    sweep wants.
     """
 
     def __init__(self, x: np.ndarray):
@@ -206,11 +178,6 @@ class FlipWorkspace:
     @property
     def energy(self) -> int:
         return self._energy
-
-    def propose(self, i: int) -> int:
-        """Energy change if ``x[i]`` were flipped; no state change."""
-        d = _padded_terms(self._xp, i)
-        return int(4 * np.dot(d, d - self._c))
 
     def propose_all(self) -> np.ndarray:
         """Energy change for every single flip, as an int64 array of length N.

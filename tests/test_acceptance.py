@@ -45,6 +45,7 @@ from pcelabs.pce_solver import (
     solve,
 )
 from gate_helpers import apply_ms, apply_rotation
+from tts_helpers import synthetic_tts
 from pcelabs.state_sim import AnsatzSpec, expectation, run_ansatz, zero_state
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -219,13 +220,13 @@ def test_criterion_07_tabu_baseline():
 def test_criterion_08_fit_calibration():
     """Noiseless synthetic scaling recovered to 1e-12; sigma = 0.3
     lognormal noise (50 repeats x 8 sizes) recovers b within 0.04."""
-    clean = bench.synthetic_tts(1.5, 2.0, [6, 8, 10, 12, 14, 16, 18, 20], 1, 0.0)
+    clean = synthetic_tts(1.5, 2.0, [6, 8, 10, 12, 14, 16, 18, 20], 1, 0.0)
     fit = bench.fit_exponential(clean, mode="median")
     assert abs(fit.b - 1.5) < 1e-12
     assert abs(fit.c - 2.0) < 1e-12
     assert abs(fit.r2 - 1.0) < 1e-12
 
-    noisy = bench.synthetic_tts(1.34, 30.0, range(14, 29, 2), 50, 0.3, seed=42)
+    noisy = synthetic_tts(1.34, 30.0, range(14, 29, 2), 50, 0.3, seed=42)
     fit = bench.fit_exponential(noisy, mode="median")
     assert abs(fit.b - 1.34) <= 0.04, f"recovered b = {fit.b}"
     report(f"PASS criterion 8: exact fit recovery + lognormal b = {fit.b:.4f} within 0.04")

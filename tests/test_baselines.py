@@ -21,6 +21,7 @@ from pcelabs.pce_solver import EnergyReferences, PceConfig
 
 BARKER_13 = parse_sequence("+++++--++-+-+")
 GOLDEN = json.loads((Path(__file__).parent / "data" / "tabu_golden.json").read_text())
+EXACT_GOLDEN = json.loads((Path(__file__).parent / "data" / "exact_golden.json").read_text())
 
 
 def golden_references(case):
@@ -28,18 +29,40 @@ def golden_references(case):
     return None if levels is None else EnergyReferences(*levels)
 
 
-def brute_levels(n, levels=3):
-    energies = set()
-    for bits in itertools.product([-1, 1], repeat=n):
-        energies.add(sidelobe_energy(np.array(bits, dtype=np.int8)))
-    return sorted(energies)[:levels]
+def brute_force(n, levels=3):
+    """Levels and canonical optima over all 2^n sequences, using no symmetry."""
+    seqs = [np.array(bits) for bits in itertools.product([1, -1], repeat=n)]
+    energies = [sidelobe_energy(x) for x in seqs]
+    found = sorted(set(energies))[:levels]
+    optima = {tuple(canonicalize(x)) for x, e in zip(seqs, energies) if e == found[0]}
+    return found, optima
 
 
-@pytest.mark.parametrize("n", [3, 5, 8, 11])
+@pytest.mark.parametrize("n", range(3, 13))
 def test_exact_levels_match_brute_force(n):
     result = exact_solve(n)
-    assert result.level_energies == brute_levels(n)
+    found, optima = brute_force(n)
+    assert result.level_energies == found
     assert result.optimal_energy == result.level_energies[0]
+    assert {tuple(x) for x in result.canonical_optima} == optima
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_quotient_reaches_every_orbit(n):
+    """x_0 = x_1 = +1 leaves a member of every symmetry orbit."""
+    every = {tuple(canonicalize(np.array(b))) for b in itertools.product([1, -1], repeat=n)}
+    quotient = {
+        tuple(canonicalize(np.array((1, 1) + b)))
+        for b in itertools.product([1, -1], repeat=n - 2)
+    }
+    assert quotient == every
+
+
+@pytest.mark.parametrize(
+    "case", EXACT_GOLDEN["exact"], ids=lambda c: f"N{c['N']}-levels{c['levels']}"
+)
+def test_exact_matches_golden_results(case):
+    assert exact_solve(case["N"], case["levels"]).to_dict() == case["result"]
 
 
 def test_exact_13_finds_barker():

@@ -22,10 +22,11 @@ from pcelabs.bench import (
     run_campaign,
     shot_bound,
     stable_seed,
-    synthetic_tts,
     tune_sweep,
     write_records,
 )
+
+from tts_helpers import PAPER_SIZES_EVEN, PAPER_SIZES_ODD, synthetic_tts
 
 
 def test_stable_seed_reproducible_and_spread():
@@ -40,7 +41,7 @@ def test_stable_seed_is_a_frozen_function():
     assert stable_seed(0, 13, 0) == 1565923734789508201
 
 
-@pytest.mark.parametrize("n", [5, 13, 20])
+@pytest.mark.parametrize("n", range(3, 23))
 def test_reference_levels_match_enumeration(n):
     assert reference_levels(n) == exact_solve(n).level_energies
 
@@ -56,7 +57,7 @@ def test_reference_levels_unknown_size():
 
 
 def test_known_optima_table_spans_benchmark_sizes(published_optima):
-    for n in bench.PAPER_SIZES_EVEN + bench.PAPER_SIZES_ODD:
+    for n in PAPER_SIZES_EVEN + PAPER_SIZES_ODD:
         assert reference_levels(n)[0] == published_optima[n]
 
 
