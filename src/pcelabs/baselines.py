@@ -162,6 +162,13 @@ def references_from_exact(result: ExactResult) -> EnergyReferences:
 # Tabu search.
 
 
+def _require_positive(config, *names: str) -> None:
+    for name in names:
+        value = getattr(config, name)
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 @dataclass(frozen=True)
 class TabuConfig:
     """Single-flip tabu search settings.
@@ -176,6 +183,9 @@ class TabuConfig:
     eval_budget: int = 10**7
     stagnation_factor: int = 10
     seed: int = 0
+
+    def __post_init__(self):
+        _require_positive(self, "eval_budget", "stagnation_factor")
 
     def resolved_tenure(self, N: int) -> tuple[int, int]:
         lo = math.ceil(N / 10) if self.tenure_min is None else self.tenure_min
@@ -316,6 +326,11 @@ class MemeticConfig:
     tenure_min: int | None = None
     tenure_max: int | None = None
     seed: int = 0
+
+    def __post_init__(self):
+        _require_positive(
+            self, "eval_budget", "tournament_size", "local_moves", "local_stagnation"
+        )
 
     def resolved_tenure(self, N: int) -> tuple[int, int]:
         return TabuConfig(self.tenure_min, self.tenure_max).resolved_tenure(N)

@@ -24,9 +24,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import Iterable, Sequence
 
-import mpmath
 import numpy as np
-from scipy.stats import t as student_t
 
 from pcelabs import pce_solver
 from pcelabs.pce_solver import EnergyReferences, PceConfig, SolveResult
@@ -379,7 +377,10 @@ def fit_exponential(
     ys = np.log([p[1] for p in points])
     slope, intercept, se_slope, se_intercept, r2 = _ols_line(xs, ys)
     dof = max(xs.size - 2, 1)
-    tcrit = float(student_t.ppf(0.975, dof))
+    # scipy loads here, not at import: the solvers never need it
+    from scipy.special import stdtrit
+
+    tcrit = float(stdtrit(dof, 0.975))
     return FitResult(
         b=math.exp(slope),
         c=math.exp(intercept),
@@ -526,6 +527,8 @@ def shot_bound(query: ShotBudgetQuery) -> ShotBudget:
     integer are snapped before the ceiling so analytically-integer cases
     come out exact instead of one too high.
     """
+    import mpmath
+
     with mpmath.workdps(50):
         n = mpmath.mpf(query.n)
         alpha = mpmath.mpf(query.alpha)

@@ -149,12 +149,12 @@ def cmd_solve_pce(args) -> int:
     return 0
 
 
-_TABU_FLAGS = {
+_MEMETIC_FLAGS = {
     "budget": "eval_budget",
     "tenure_min": "tenure_min",
     "tenure_max": "tenure_max",
-    "stagnation": "stagnation_factor",
 }
+_TABU_FLAGS = {**_MEMETIC_FLAGS, "stagnation": "stagnation_factor"}
 
 
 def cmd_solve_tabu(args) -> int:
@@ -167,7 +167,7 @@ def cmd_solve_tabu(args) -> int:
 
 def cmd_warm_start(args) -> int:
     pce = PceConfig(seed=args.seed, **_config_kwargs(args, _PCE_FLAGS))
-    memetic = MemeticConfig(seed=args.seed, **_config_kwargs(args, _TABU_FLAGS))
+    memetic = MemeticConfig(seed=args.seed, **_config_kwargs(args, _MEMETIC_FLAGS))
     warm = WarmStartConfig(
         pce_runs=args.pce_runs, population_copies=args.copies
     )
@@ -342,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--tenure-min", dest="tenure_min", type=int, default=None)
     p.add_argument("--tenure-max", dest="tenure_max", type=int, default=None)
-    p.add_argument("--stagnation", type=int, default=None)
     _add_pce_flags(p)
     p.set_defaults(fn=cmd_warm_start)
 

@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from pcelabs import _kernels, state_sim
-from pcelabs.labs_core import as_spin_array, canonicalize, sidelobe_energy
+from pcelabs.labs_core import canonicalize, sidelobe_energy
 from pcelabs.pauli_algebra import (
     PauliSet,
     sample_anticommuting_set,

@@ -156,6 +156,22 @@ def test_tabu_tenure_validation():
         tabu_search(13, TabuConfig(tenure_min=1, tenure_max=13))
 
 
+@pytest.mark.parametrize("field", ["eval_budget", "stagnation_factor"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_tabu_config_rejects_non_positive_settings(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+        TabuConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field", ["eval_budget", "tournament_size", "local_moves", "local_stagnation"]
+)
+@pytest.mark.parametrize("value", [0, -1])
+def test_memetic_config_rejects_non_positive_settings(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+        MemeticConfig(**{field: value})
+
+
 def test_tabu_default_tenure_range():
     config = TabuConfig()
     lo, hi = config.resolved_tenure(20)

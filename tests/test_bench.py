@@ -1,13 +1,21 @@
+import hashlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import kolmogorov
+from scipy.special import kolmogorov, stdtrit
 from scipy.stats import ks_2samp
+from scipy.stats import t as student_t
 
-from pcelabs import bench, pce_solver
+from pcelabs import bench, cli, pce_solver
 from pcelabs.baselines import exact_solve
 from pcelabs.bench import (
     CampaignConfig,
@@ -27,6 +35,13 @@ from pcelabs.bench import (
 )
 
 from tts_helpers import PAPER_SIZES_EVEN, PAPER_SIZES_ODD, synthetic_tts
+
+REPO = Path(__file__).resolve().parents[1]
+FIT_GOLDEN = json.loads((REPO / "tests" / "data" / "fit_golden.json").read_text())["fits"]
+
+
+def fit_case_id(case):
+    return f"{Path(case['records']).stem}-{case['mode']}-{case['target']}-{case['parity']}"
 
 
 def test_stable_seed_reproducible_and_spread():
@@ -196,6 +211,42 @@ def test_fit_confidence_intervals_shrink_with_more_data():
     f_small = fit_exponential(small, mode="ensemble")
     f_large = fit_exponential(large, mode="ensemble")
     assert (f_large.ci_b[1] - f_large.ci_b[0]) < (f_small.ci_b[1] - f_small.ci_b[0])
+
+
+@pytest.mark.parametrize("case", FIT_GOLDEN, ids=fit_case_id)
+def test_fit_and_cli_output_match_golden(case):
+    records = read_records(REPO / case["records"])
+    fit = fit_exponential(
+        records, mode=case["mode"], target=case["target"], parity=case["parity"]
+    )
+    assert fit.to_dict() == case["fit"]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        rc = cli.main(["fit", "--records", str(REPO / case["records"]), "--mode", case["mode"],
+                       "--target", case["target"], "--parity", case["parity"]])
+    assert rc == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == case["cli_stdout_sha256"]
+
+
+def test_t_quantile_matches_scipy_stats_bitwise():
+    # fit_exponential takes its 97.5% quantile from stdtrit, the function
+    # behind scipy.stats.t.ppf, so the golden fits above stay exact
+    for dof in range(1, 201):
+        assert float(stdtrit(dof, 0.975)).hex() == float(student_t.ppf(0.975, dof)).hex()
+
+
+def test_solver_path_loads_neither_scipy_nor_mpmath():
+    code = (
+        "import json, sys\n"
+        "import pcelabs, pcelabs.cli, pcelabs.bench, pcelabs.baselines, pcelabs.pce_solver\n"
+        "print(json.dumps(sorted(m for m in sys.modules"
+        " if m.split('.')[0] in ('scipy', 'mpmath'))))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert json.loads(done.stdout) == []
 
 
 def test_ks_statistic_matches_scipy(rng):

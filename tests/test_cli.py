@@ -6,6 +6,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from pcelabs.baselines import TabuConfig, tabu_search
 from pcelabs.cli import main
 
 
@@ -77,6 +78,39 @@ def test_warm_start_subcommand():
          "--copies", "4", "--iters", "30", "--restarts", "2"]
     )
     assert doc["best_energy"] == 5
+
+
+def test_solve_tabu_passes_stagnation_to_the_search():
+    doc = run_json(["solve-tabu", "--n", "13", "--seed", "2", "--no-refs",
+                    "--budget", "3000", "--stagnation", "1"])
+    want = tabu_search(13, TabuConfig(eval_budget=3000, stagnation_factor=1, seed=2))
+    assert doc == {**json.loads(json.dumps(want.to_dict())), "schema_version": 1}
+    assert doc != run_json(["solve-tabu", "--n", "13", "--seed", "2", "--no-refs",
+                            "--budget", "3000"])
+
+
+def test_warm_start_has_no_stagnation_flag():
+    with pytest.raises(SystemExit) as exc:
+        main(["warm-start", "--n", "11", "--stagnation", "3"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve-tabu", "--budget", "0"],
+        ["solve-tabu", "--budget", "-5"],
+        ["solve-tabu", "--stagnation", "0"],
+        ["solve-tabu", "--stagnation", "-1"],
+        ["warm-start", "--budget", "0", "--pce-runs", "1", "--copies", "2"],
+    ],
+    ids=" ".join,
+)
+def test_bad_search_settings_exit_2(argv, capsys):
+    rc, out = run_cli([*argv, "--n", "13"])
+    assert rc == 2
+    assert out == ""
+    assert "must be >= 1" in capsys.readouterr().err
 
 
 def test_pauli_gen_subcommand():
