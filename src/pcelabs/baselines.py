@@ -8,7 +8,8 @@ be seeded from variational solutions (``pce_warm_start``).
 
 Evaluation counting is uniform across solvers: scoring one candidate
 sequence costs one evaluation, whether it happens through a full energy
-computation or an O(N) incremental flip probe.
+computation or an O(N) incremental flip probe, and every solver counts
+on one ``EvalCounter``.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from pcelabs.labs_core import (
 )
 from pcelabs.pce_solver import (
     EnergyReferences,
+    EvalCounter,
     PceConfig,
     SolveResult,
-    _CounterState,
-    solve as pce_solve,
+    _descend,
 )
 
 __all__ = [
@@ -162,11 +163,11 @@ def references_from_exact(result: ExactResult) -> EnergyReferences:
 # Tabu search.
 
 
-def _require_positive(config, *names: str) -> None:
+def _require_at_least(least: int, config, *names: str) -> None:
     for name in names:
         value = getattr(config, name)
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -185,7 +186,7 @@ class TabuConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _require_positive(self, "eval_budget", "stagnation_factor")
+        _require_at_least(1, self, "eval_budget", "stagnation_factor")
 
     def resolved_tenure(self, N: int) -> tuple[int, int]:
         lo = math.ceil(N / 10) if self.tenure_min is None else self.tenure_min
@@ -198,26 +199,9 @@ class TabuConfig:
         return replace(self, seed=seed)
 
 
-class _EvalClock:
-    """Shared evaluation counter with a hard budget."""
-
-    def __init__(self, budget: int, start: int = 0):
-        self.budget = budget
-        self.evals = start
-
-    def tick(self) -> int:
-        self.evals += 1
-        return self.evals
-
-    @property
-    def exhausted(self) -> bool:
-        return self.evals >= self.budget
-
-
 def _tabu_core(
     ws: FlipWorkspace,
-    counters: _CounterState,
-    clock: _EvalClock,
+    counter: EvalCounter,
     rng: np.random.Generator,
     tenure: tuple[int, int],
     stagnation_limit: int,
@@ -240,26 +224,26 @@ def _tabu_core(
         move += 1
         deltas = ws.propose_all()
         energies = ws.energy + deltas
-        start = clock.evals
-        count = min(n, clock.budget - start)
+        start = counter.evals
+        count = min(n, counter.budget - start)
         # The start of the run has been observed, so there is a limit.  It
         # only falls while the probes are observed, so every probe that can
         # fire is among these; each is checked again in index order.
-        for i in (energies[:count] <= counters.limit()).nonzero()[0].tolist():
+        for i in (energies[:count] <= counter.limit()).nonzero()[0].tolist():
             energy = int(energies[i])
-            if counters.interested(energy):
+            if counter.interested(energy):
                 seq = ws.sequence
                 seq[i] = -seq[i]
-                if counters.observe(seq, energy, start + i + 1):
-                    clock.evals = start + i + 1
+                if counter.observe(seq, energy, start + i + 1):
+                    counter.evals = start + i + 1
                     return
-        clock.evals = start + count
+        counter.evals = start + count
         if count < n:
             return
         # tenure_max < N: at least one flip is free of tabu.
-        allowed = (tabu_until <= move) | (energies < counters.best_energy)
+        allowed = (tabu_until <= move) | (energies < counter.best_energy)
         best_idx = int(np.where(allowed, deltas, _NO_MOVE).argmin())
-        previous_best = counters.best_energy
+        previous_best = counter.best_energy
         ws.commit(best_idx)
         tabu_until[best_idx] = move + int(rng.integers(tenure[0], tenure[1] + 1))
         if ws.energy < previous_best:
@@ -284,24 +268,16 @@ def tabu_search(
         raise ValueError("sequence length must be >= 3")
     tenure = config.resolved_tenure(N)
     rng = np.random.default_rng(config.seed)
-    counters = _CounterState(N, references)
-    clock = _EvalClock(config.eval_budget)
+    counter = EvalCounter(N, references, config.eval_budget)
     restarts = 0
     spins = np.array([-1, 1])
-    while not clock.exhausted and counters.evals_to_exact is None:
+    while not counter.exhausted and counter.evals_to_exact is None:
         restarts += 1
         ws = FlipWorkspace(rng.choice(spins, N))
-        if counters.observe(ws.sequence, ws.energy, clock.tick()):
+        if counter.observe(ws.sequence, ws.energy, counter.tick()):
             break
-        _tabu_core(
-            ws,
-            counters,
-            clock,
-            rng,
-            tenure,
-            stagnation_limit=config.stagnation_factor * N,
-        )
-    return counters.result("tabu", config.seed, clock.evals, restarts)
+        _tabu_core(ws, counter, rng, tenure, stagnation_limit=config.stagnation_factor * N)
+    return counter.result("tabu", config.seed, restarts)
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +304,8 @@ class MemeticConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _require_positive(
-            self, "eval_budget", "tournament_size", "local_moves", "local_stagnation"
+        _require_at_least(
+            1, self, "eval_budget", "tournament_size", "local_moves", "local_stagnation"
         )
 
     def resolved_tenure(self, N: int) -> tuple[int, int]:
@@ -347,36 +323,37 @@ def memetic_tabu(
     population: list[np.ndarray],
     config: MemeticConfig,
     references: EnergyReferences | None = None,
-    _clock: _EvalClock | None = None,
-    _counters: _CounterState | None = None,
-    _solver_tag: str = "memetic-tabu",
 ) -> SolveResult:
-    """Memetic search over an explicit starting population.
-
-    The private clock/counter arguments let a caller chain this phase
-    onto evaluations already spent (warm starting); they default to a
-    fresh count.
-    """
+    """Memetic search over an explicit starting population."""
     if len(population) < 2:
         raise ValueError("population needs at least 2 members")
     members = [as_spin_array(x) for x in population]
     if any(m.size != N for m in members):
         raise ValueError("population member length differs from N")
+    counter = EvalCounter(N, references, config.eval_budget)
+    generations = _evolve(N, members, config, counter)
+    return counter.result("memetic-tabu", config.seed, generations)
+
+
+def _evolve(
+    N: int, members: list[np.ndarray], config: MemeticConfig, counter: EvalCounter
+) -> int:
+    """The generational loop of ``memetic_tabu`` over the validated
+    ``members``, observing into ``counter`` from its current evaluation
+    count on; returns the generations run."""
     tenure = config.resolved_tenure(N)
     mutation_rate = config.resolved_mutation_rate(N)
     rng = np.random.default_rng(config.seed)
-    counters = _counters if _counters is not None else _CounterState(N, references)
-    clock = _clock if _clock is not None else _EvalClock(config.eval_budget)
     energies = []
     for member in members:
-        if clock.exhausted:
+        if counter.exhausted:
             break
         energy = sidelobe_energy(member)
         energies.append(energy)
-        if counters.observe(member, energy, clock.tick()):
+        if counter.observe(member, energy, counter.tick()):
             break
     generations = 0
-    while not clock.exhausted and counters.evals_to_exact is None:
+    while not counter.exhausted and counter.evals_to_exact is None:
         generations += 1
         child = _crossover(
             _tournament(members, energies, config.tournament_size, rng),
@@ -386,12 +363,11 @@ def memetic_tabu(
         flips = rng.random(N) < mutation_rate
         child[flips] = -child[flips]
         ws = FlipWorkspace(child)
-        if counters.observe(ws.sequence, ws.energy, clock.tick()):
+        if counter.observe(ws.sequence, ws.energy, counter.tick()):
             break
         _tabu_core(
             ws,
-            counters,
-            clock,
+            counter,
             rng,
             tenure,
             stagnation_limit=config.local_stagnation,
@@ -403,7 +379,7 @@ def memetic_tabu(
         if improved_energy < energies[worst]:
             members[worst] = improved
             energies[worst] = improved_energy
-    return counters.result(_solver_tag, config.seed, clock.evals, generations)
+    return generations
 
 
 def _tournament(
@@ -430,6 +406,10 @@ class WarmStartConfig:
     pce_runs: int = 150
     population_copies: int = 50
 
+    def __post_init__(self):
+        _require_at_least(1, self, "pce_runs")
+        _require_at_least(2, self, "population_copies")
+
 
 def pce_warm_start(
     N: int,
@@ -443,54 +423,22 @@ def pce_warm_start(
     Runs ``warm.pce_runs`` independent short-budget variational solves,
     copies the best decoded sequence ``warm.population_copies`` times as
     the memetic starting population, and continues with memetic tabu.
-    The evaluation counter accumulates across every phase, so the
-    counters end up on one shared time axis.  The run short-circuits as
-    soon as the exact level triggers.
+    Every phase observes into one counter, so the counters end up on one
+    shared time axis under ``mt_config.eval_budget``.  The run
+    short-circuits as soon as the exact level triggers.
     """
-    if warm.pce_runs < 1 or warm.population_copies < 2:
-        raise ValueError("need >= 1 variational run and >= 2 population copies")
-    counters = _CounterState(N, references)
-    clock = _EvalClock(mt_config.eval_budget)
-    best_energy: int | None = None
-    best_sequence: np.ndarray | None = None
-    runs_used = 0
+    if N < 3:
+        raise ValueError("sequence length must be >= 3")
+    counter = EvalCounter(N, references, mt_config.eval_budget)
     for run in range(warm.pce_runs):
-        runs_used += 1
-        run_config = pce_config.with_seed(_derive_seed(pce_config.seed, run))
-        result = pce_solve(
-            N, run_config, references, _eval_budget=clock.budget - clock.evals
-        )
-        offset = clock.evals
-        clock.evals += result.total_evals
-        _merge_counters(counters, result, offset)
-        if best_energy is None or result.best_energy < best_energy:
-            best_energy = result.best_energy
-            best_sequence = result.best_sequence
-        counters.observe(result.best_sequence, result.best_energy, clock.evals)
-        if counters.evals_to_exact is not None or clock.exhausted:
-            break
-    if counters.evals_to_exact is None and not clock.exhausted:
-        population = [best_sequence.copy() for _ in range(warm.population_copies)]
-        return memetic_tabu(
-            N,
-            population,
-            mt_config,
-            references,
-            _clock=clock,
-            _counters=counters,
-            _solver_tag="pce+memetic-tabu",
-        )
-    return counters.result("pce+memetic-tabu", pce_config.seed, clock.evals, runs_used)
+        _descend(N, pce_config.with_seed(_derive_seed(pce_config.seed, run)), counter)
+        if counter.evals_to_exact is not None or counter.exhausted:
+            return counter.result("pce+memetic-tabu", pce_config.seed, run + 1)
+    best = canonicalize(counter.best_sequence)
+    population = [best.copy() for _ in range(warm.population_copies)]
+    generations = _evolve(N, population, mt_config, counter)
+    return counter.result("pce+memetic-tabu", mt_config.seed, generations)
 
 
 def _derive_seed(base: int, index: int) -> int:
     return int(np.random.SeedSequence([base, index]).generate_state(1, np.uint64)[0])
-
-
-def _merge_counters(counters: _CounterState, result: SolveResult, offset: int) -> None:
-    if counters.evals_to_second is None and result.evals_to_second is not None:
-        counters.evals_to_second = offset + result.evals_to_second
-    if counters.evals_to_first is None and result.evals_to_first is not None:
-        counters.evals_to_first = offset + result.evals_to_first
-    if counters.evals_to_exact is None and result.evals_to_exact is not None:
-        counters.evals_to_exact = offset + result.evals_to_exact

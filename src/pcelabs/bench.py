@@ -166,6 +166,12 @@ class CampaignConfig:
             raise ValueError("runs_per_size must be >= 1")
         self.per_size = {int(k): dict(v) for k, v in self.per_size.items()}
         self.references = {int(k): list(v) for k, v in self.references.items()}
+        # Bad settings for any size fail here, before a run starts.
+        for n in self.sizes:
+            try:
+                self.solver_settings(n, self.base_seed)
+            except TypeError as exc:
+                raise ValueError(f"{self.solver} settings for N = {n}: {exc}") from None
 
     def to_dict(self) -> dict:
         doc = asdict(self)

@@ -44,6 +44,7 @@ __all__ = [
     "PceConfig",
     "EnergyReferences",
     "SolveResult",
+    "EvalCounter",
     "LossContext",
     "relax",
     "relaxed_loss",
@@ -484,17 +485,36 @@ def _sample_pauli_set(
     )
 
 
-class _CounterState:
-    """Tracks best-so-far and the first crossing of each reference level."""
+class EvalCounter:
+    """The evaluation axis of one run: evaluations spent against an
+    optional budget, the best sequence so far, and the first crossing of
+    each reference level.
 
-    def __init__(self, n: int, references: EnergyReferences | None):
+    Every solver builds one and hands it to its loops; the warm start
+    passes the same one through every phase.  ``budget`` and ``evals``
+    are plain attributes because the tabu probe loop reads them on every
+    move.
+    """
+
+    def __init__(self, n: int, references: EnergyReferences | None, budget: int | None = None):
         self.n = n
         self.references = references
+        self.budget = budget  # None: no budget
+        self.evals = 0
         self.best_energy: int | None = None
         self.best_sequence: np.ndarray | None = None
         self.evals_to_exact: int | None = None
         self.evals_to_first: int | None = None
         self.evals_to_second: int | None = None
+
+    def tick(self) -> int:
+        """Spend one evaluation; returns its 1-based index."""
+        self.evals += 1
+        return self.evals
+
+    @property
+    def exhausted(self) -> bool:
+        return self.budget is not None and self.evals >= self.budget
 
     def limit(self) -> int | None:
         """The largest energy whose observation could change any recorded
@@ -541,7 +561,7 @@ class _CounterState:
             self.evals_to_exact = eval_index
         return self.evals_to_exact is not None
 
-    def result(self, solver: str, seed: int, total_evals: int, restarts_used: int) -> SolveResult:
+    def result(self, solver: str, seed: int, restarts_used: int) -> SolveResult:
         """The run's outcome, with the best sequence in canonical form."""
         if self.best_sequence is None:
             raise RuntimeError("no evaluations performed; increase the budget")
@@ -552,7 +572,7 @@ class _CounterState:
             best_sequence=canonicalize(self.best_sequence),
             best_energy=self.best_energy,
             merit_factor=self.n * self.n / (2.0 * self.best_energy),
-            total_evals=total_evals,
+            total_evals=self.evals,
             restarts_used=restarts_used,
             evals_to_exact=self.evals_to_exact,
             evals_to_first=self.evals_to_first,
@@ -564,8 +584,6 @@ def solve(
     N: int,
     config: PceConfig,
     references: EnergyReferences | None = None,
-    *,
-    _eval_budget: int | None = None,
 ) -> SolveResult:
     """Run the variational solver until the exact level or the restart cap.
 
@@ -581,26 +599,33 @@ def solve(
     batches of 2, 4, ..., LOCKSTEP_ROWS drawn in order (fewer once the
     batch would pass LOCKSTEP_AMPLITUDES), and are observed restart by
     restart afterwards: the result does not depend on the batch size.
-    With shots, under a shared budget, or on the numba engine, whose
-    kernels have no per-gate overhead to share, batches hold one restart.
-
-    A caller sharing an evaluation budget passes what is left of it as
-    ``_eval_budget``: the run ends, without a gradient, on the evaluation
-    after which a further step would not fit.
+    With shots, under a budget, or on the numba engine, whose kernels
+    have no per-gate overhead to share, batches hold one restart.
     """
     if N < 3:
         raise ValueError("sequence length must be >= 3")
+    counter = EvalCounter(N, references)
+    restarts_used = _descend(N, config, counter)
+    return counter.result("pce", config.seed, restarts_used)
+
+
+def _descend(N: int, config: PceConfig, counter: EvalCounter) -> int:
+    """The restart loop of ``solve``, observing into ``counter`` from its
+    current evaluation count on; returns the restarts used.
+
+    Under a budget the run ends, without a gradient, on the evaluation
+    after which a further step would not fit.
+    """
     rng = np.random.default_rng(config.seed)
     spec = config.ansatz()
-    counters = _CounterState(N, references)
     iters = config.iters_per_restart
     step_cost = 1 + (2 * spec.param_count if config.count_gradient_evals else 0)
+    budget = counter.budget
     lockstep = (
-        config.shots == 0 and _eval_budget is None and resolve_engine(config.engine) == "numpy"
+        config.shots == 0 and budget is None and resolve_engine(config.engine) == "numpy"
     )
     most = min(LOCKSTEP_ROWS, max(1, LOCKSTEP_AMPLITUDES >> spec.n)) if lockstep else 1
     restarts_used = 0
-    total_evals = 0
     rows = 1
     while restarts_used < config.restart_cap:
         rows = min(2 * rows, most)
@@ -621,12 +646,13 @@ def solve(
         )
         thetas = np.array(thetas)
         optimizer = _make_optimizer(config, thetas.shape)
+        start = counter.evals
         spent = []  # evaluations each restart of the batch has cost, per step
         trail = []  # (energies, sequences) of the batch, per step
         # The initial angles are evaluated and decoded too, so a restart
         # costs iters_per_restart + 1 loss evaluations.
         for it in range(iters + 1):
-            last = _eval_budget is not None and total_evals + ctx.evals + step_cost >= _eval_budget
+            last = budget is not None and start + ctx.evals + step_cost >= budget
             e, grad = ctx.step(thetas, gradient=it < iters and not last)
             spent.append(ctx.evals // batch)
             sequences = decode(e)
@@ -634,17 +660,19 @@ def solve(
             trail.append((energies, sequences))
             # The batch's first restart comes first in the count, so it is
             # observed as it runs and the exact level stops it at once.
-            if counters.observe(sequences[0], energies[0], total_evals + spent[-1]) or last:
-                return counters.result("pce", config.seed, total_evals + spent[-1], restarts_used + 1)
+            if counter.observe(sequences[0], energies[0], start + spent[-1]) or last:
+                counter.evals = start + spent[-1]
+                return restarts_used + 1
             if grad is not None:
                 thetas = optimizer.update(thetas, grad)
         # The others follow it restart by restart.
         cost = spent[-1]
         for k in range(1, batch):
             for (energies, sequences), done in zip(trail, spent):
-                index = total_evals + k * cost + done
-                if counters.observe(sequences[k], energies[k], index):
-                    return counters.result("pce", config.seed, index, restarts_used + k + 1)
-        total_evals += batch * cost
+                index = start + k * cost + done
+                if counter.observe(sequences[k], energies[k], index):
+                    counter.evals = index
+                    return restarts_used + k + 1
+        counter.evals = start + batch * cost
         restarts_used += batch
-    return counters.result("pce", config.seed, total_evals, restarts_used)
+    return restarts_used

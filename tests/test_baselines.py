@@ -22,6 +22,7 @@ from pcelabs.pce_solver import EnergyReferences, PceConfig
 BARKER_13 = parse_sequence("+++++--++-+-+")
 GOLDEN = json.loads((Path(__file__).parent / "data" / "tabu_golden.json").read_text())
 EXACT_GOLDEN = json.loads((Path(__file__).parent / "data" / "exact_golden.json").read_text())
+WARM_GOLDEN = json.loads((Path(__file__).parent / "data" / "warm_golden.json").read_text())
 
 
 def golden_references(case):
@@ -147,6 +148,24 @@ def test_memetic_matches_golden_records(case):
     assert result.to_dict() == case["result"]
 
 
+@pytest.mark.parametrize(
+    "case",
+    [
+        pytest.param(c, id=f"{i}-N{c['N']}-{c['label'].replace(' ', '-')}")
+        for i, c in enumerate(WARM_GOLDEN["warm"])
+    ],
+)
+def test_warm_start_matches_golden_records(case):
+    result = pce_warm_start(
+        case["N"],
+        PceConfig(**case["pce"]),
+        MemeticConfig(**case["memetic"]),
+        golden_references(case),
+        WarmStartConfig(**case["warm"]),
+    )
+    assert result.to_dict() == case["result"]
+
+
 def test_tabu_tenure_validation():
     with pytest.raises(ValueError):
         tabu_search(13, TabuConfig(tenure_min=5, tenure_max=2))
@@ -170,6 +189,20 @@ def test_tabu_config_rejects_non_positive_settings(field, value):
 def test_memetic_config_rejects_non_positive_settings(field, value):
     with pytest.raises(ValueError, match=f"{field} must be >= 1"):
         MemeticConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value, least",
+    [
+        ("pce_runs", 0, 1),
+        ("pce_runs", -1, 1),
+        ("population_copies", 1, 2),
+        ("population_copies", 0, 2),
+    ],
+)
+def test_warm_start_config_rejects_too_small_settings(field, value, least):
+    with pytest.raises(ValueError, match=f"{field} must be >= {least}"):
+        WarmStartConfig(**{field: value})
 
 
 def test_tabu_default_tenure_range():

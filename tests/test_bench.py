@@ -153,6 +153,22 @@ def test_campaign_rejects_impossible_reference():
         run_campaign(config)
 
 
+def test_committed_tabu_records_replay():
+    """Every 10th record of the committed reduced tabu campaign, rerun from
+    its config with references resolved as ``run_campaign`` resolves them."""
+    config = CampaignConfig.from_dict(
+        json.loads((REPO / "configs" / "reduced_tabu.json").read_text())
+    )
+    doc = config.to_dict()
+    doc["references"] = {str(n): config.levels_for(n) for n in config.sizes}
+    config = CampaignConfig.from_dict(doc)
+    lines = (REPO / "bench_out" / "reduced_tabu.jsonl").read_text().splitlines()
+    for line in lines[::10]:
+        record = json.loads(line)
+        replayed = bench._run_one(config, record["n"], record["run_index"])
+        assert replayed.to_dict() == record
+
+
 def test_campaign_solver_validation():
     with pytest.raises(ValueError):
         CampaignConfig.from_dict({"solver": "annealer", "sizes": [5], "runs_per_size": 1})

@@ -6,6 +6,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from pcelabs import bench
 from pcelabs.baselines import TabuConfig, tabu_search
 from pcelabs.cli import main
 
@@ -225,6 +226,35 @@ def test_records_without_timing_by_default(tmp_path):
     run_json(["bench", "--config", str(config), "--out", str(out), "--timing"])
     record = json.loads(out.read_text().splitlines()[0])
     assert record["wall_time"] > 0
+
+
+BAD_CAMPAIGNS = {
+    "unknown-key": {"tabu": {"budget": 5}},
+    "unknown-key-at-a-later-size": {"per_size": {"7": {"budget": 5}}},
+    "non-positive-at-a-later-size": {"per_size": {"7": {"eval_budget": 0}}},
+    "unknown-warm-key": {
+        "solver": "warm", "pce": {"restart_cap": 1}, "warm": {"runs": 2}
+    },
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_CAMPAIGNS))
+def test_bad_campaign_settings_exit_2_before_any_run(bad, tmp_path, capsys, monkeypatch):
+    def no_run(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(bench, "_run_one", no_run)
+    config = tmp_path / "campaign.json"
+    config.write_text(json.dumps({
+        "solver": "tabu", "sizes": [5, 7], "runs_per_size": 1, "base_seed": 0,
+        **BAD_CAMPAIGNS[bad],
+    }))
+    out = tmp_path / "r.jsonl"
+    rc, stdout = run_cli(["bench", "--config", str(config), "--out", str(out), "--workers", "1"])
+    assert rc == 2
+    assert stdout == ""
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 # Small runs at N = 50, a size the packaged reference table lacks.

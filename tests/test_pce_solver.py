@@ -15,8 +15,8 @@ from pcelabs.pce_solver import (
     EnergyReferences,
     LossContext,
     PceConfig,
+    EvalCounter,
     SolveResult,
-    _CounterState,
     decode,
     parameter_shift_gradient,
     relax,
@@ -27,6 +27,7 @@ from pcelabs.pce_solver import (
 
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "pce_golden.json").read_text())
+WARM_GOLDEN = json.loads((Path(__file__).parent / "data" / "warm_golden.json").read_text())
 SAMPLERS = {"anticommuting": sample_anticommuting_set, "commuting": sample_commuting_set}
 
 # Run as plain Python, the kernels do the numpy engine's table operations
@@ -329,6 +330,18 @@ def test_solve_matches_golden_records(case):
     assert solve(case["N"], golden_config(case, "numpy")).to_dict() == case["result"]
 
 
+@pytest.mark.parametrize(
+    "case",
+    WARM_GOLDEN["solve"],
+    ids=lambda c: f"N{c['N']}-iters{c['pce']['iters_per_restart']}-seed{c['pce']['seed']}",
+)
+def test_solve_with_references_matches_golden_records(case):
+    """The exact hit lands on a restart that lockstep replays after its
+    batch has run, or on a batch's first restart."""
+    refs = EnergyReferences.from_levels(case["references"])
+    assert solve(case["N"], PceConfig(**case["pce"]), refs).to_dict() == case["result"]
+
+
 @pytest.mark.parametrize("case", GOLDEN["solve"], ids=golden_id)
 def test_numba_engine_matches_golden_records(case, numba_engine):
     assert solve(case["N"], golden_config(case, "numba")).to_dict() == case["result"]
@@ -374,7 +387,7 @@ def test_eval_counting_can_bill_gradients():
 
 def test_counters_record_first_crossing_only():
     refs = EnergyReferences(exact=6, first=14, second=18)
-    c = _CounterState(13, refs)
+    c = EvalCounter(13, refs)
     seq = np.ones(13, dtype=np.int8)
     assert not c.observe(seq, 30, 1)
     assert not c.observe(seq, 18, 2)
@@ -387,16 +400,30 @@ def test_counters_record_first_crossing_only():
     assert (c.evals_to_second, c.evals_to_first, c.evals_to_exact) == (2, 3, 5)
 
 
+def test_eval_counter_ticks_up_to_its_budget():
+    c = EvalCounter(13, None, budget=3)
+    assert (c.evals, c.exhausted) == (0, False)
+    assert (c.tick(), c.tick()) == (1, 2)
+    assert not c.exhausted
+    assert c.tick() == 3
+    assert c.exhausted  # the budget is spent, not exceeded
+    c.observe(np.ones(13, dtype=np.int8), 30, 3)
+    assert c.result("pce", 0, 1).total_evals == 3
+    unbounded = EvalCounter(13, None)
+    unbounded.evals = 10**12
+    assert not unbounded.exhausted
+
+
 def test_counter_ordering_invariant():
     refs = EnergyReferences(exact=6, first=14, second=18)
-    c = _CounterState(13, refs)
+    c = EvalCounter(13, refs)
     seq = np.ones(13, dtype=np.int8)
     c.observe(seq, 5, 1)  # jumps straight past every level
     assert c.evals_to_second <= c.evals_to_first <= c.evals_to_exact
 
 
 def test_counters_absent_without_references():
-    c = _CounterState(13, None)
+    c = EvalCounter(13, None)
     seq = np.ones(13, dtype=np.int8)
     assert not c.observe(seq, 6, 1)
     assert c.evals_to_exact is None
@@ -405,7 +432,7 @@ def test_counters_absent_without_references():
 
 def test_interested_tracks_pending_levels():
     refs = EnergyReferences(exact=6, first=14, second=18)
-    c = _CounterState(13, refs)
+    c = EvalCounter(13, refs)
     seq = np.ones(13, dtype=np.int8)
     assert c.interested(100)  # anything beats an unset best
     c.observe(seq, 20, 1)
@@ -439,7 +466,7 @@ def test_limit_agrees_with_interested(refs):
     for best, fired in itertools.product(
         [None, 25, 18, 15, 11, 10, 4], itertools.product([None, 1], repeat=3)
     ):
-        c = _CounterState(13, refs)
+        c = EvalCounter(13, refs)
         c.best_energy = best
         c.evals_to_second, c.evals_to_first, c.evals_to_exact = fired
         limit = c.limit()
@@ -455,7 +482,9 @@ def test_eval_budget_caps_solve(count_gradient_evals):
         seed=0, restart_cap=3, iters_per_restart=9, count_gradient_evals=count_gradient_evals
     )
     for budget in (1, 7, 12, 400, 1000):
-        result = solve(13, config, _eval_budget=budget)
+        counter = EvalCounter(13, None, budget)
+        restarts_used = pce_solver._descend(13, config, counter)
+        result = counter.result("pce", config.seed, restarts_used)
         assert result.total_evals <= budget
         if not count_gradient_evals:
             assert result.total_evals == min(budget, 30)
