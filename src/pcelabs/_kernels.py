@@ -2,7 +2,7 @@
 
 Numba compilations of the statevector evolution, Pauli expectation, and
 reverse-mode (adjoint) gradient sweep.  They read the same generator
-tables as the numpy engine (``state_sim.GateProgram.perms/coeffs/params``
+tables as the numpy engine (``state_sim.GateProgram.perms/coeffs``
 and ``state_sim.PauliTables``) and apply every gate through one loop,
 ``_turn``, which computes ``state_sim.turn`` element by element in the
 same operation order.  Without numba the ``njit`` shim below leaves them
@@ -48,14 +48,15 @@ def _turn(psi, perm, coeff, cos_half, sin_half):
 
 
 @njit(cache=True)
-def evolve_batch(perms, coeffs, params, thetas):
-    """Evolve |0..0> through the gate tables for each row of angles."""
+def evolve_batch(perms, coeffs, thetas):
+    """Evolve |0..0> through the gate tables for each row of angles; gate
+    g turns by thetas[b, g]."""
     out = np.zeros((thetas.shape[0], perms.shape[1]), dtype=np.complex128)
     for b in range(thetas.shape[0]):
         psi = out[b]
         psi[0] = 1.0
-        for g in range(params.size):
-            half = thetas[b, params[g]] / 2.0
+        for g in range(perms.shape[0]):
+            half = thetas[b, g] / 2.0
             _turn(psi, perms[g], coeffs[g], np.cos(half), np.sin(half))
     return out
 
@@ -83,7 +84,7 @@ def pauli_expectations(states, perms, coeffs):
 
 
 @njit(cache=True)
-def adjoint_gradient(perms, coeffs, params, theta, psi, lam):
+def adjoint_gradient(perms, coeffs, theta, psi, lam):
     """d<psi(theta)|A|psi(theta)>/dtheta by one reverse sweep.
 
     psi is the circuit output for theta and lam = A psi for a Hermitian A;
@@ -94,14 +95,14 @@ def adjoint_gradient(perms, coeffs, params, theta, psi, lam):
     psi = psi.copy()
     lam = lam.copy()
     grad = np.zeros(theta.size, dtype=np.float64)
-    for g in range(params.size - 1, -1, -1):
+    for g in range(perms.shape[0] - 1, -1, -1):
         perm = perms[g]
         coeff = coeffs[g]
         acc = 0.0 + 0.0j
         for c in range(psi.size):
             acc += np.conj(lam[c]) * (coeff[c] * psi[perm[c]])
-        grad[params[g]] += acc.imag
-        half = theta[params[g]] / 2.0
+        grad[g] = acc.imag
+        half = theta[g] / 2.0
         cos_half = np.cos(half)
         sin_half = -np.sin(half)
         _turn(psi, perm, coeff, cos_half, sin_half)

@@ -195,9 +195,6 @@ class TabuConfig:
             raise ValueError(f"need 1 <= tenure_min <= tenure_max < N, got [{lo}, {hi}]")
         return lo, hi
 
-    def with_seed(self, seed: int) -> "TabuConfig":
-        return replace(self, seed=seed)
-
 
 def _tabu_core(
     ws: FlipWorkspace,
@@ -314,9 +311,6 @@ class MemeticConfig:
     def resolved_mutation_rate(self, N: int) -> float:
         return 1.0 / N if self.mutation_rate is None else self.mutation_rate
 
-    def with_seed(self, seed: int) -> "MemeticConfig":
-        return replace(self, seed=seed)
-
 
 def memetic_tabu(
     N: int,
@@ -431,7 +425,7 @@ def pce_warm_start(
         raise ValueError("sequence length must be >= 3")
     counter = EvalCounter(N, references, mt_config.eval_budget)
     for run in range(warm.pce_runs):
-        _descend(N, pce_config.with_seed(_derive_seed(pce_config.seed, run)), counter)
+        _descend(N, replace(pce_config, seed=_derive_seed(pce_config.seed, run)), counter)
         if counter.evals_to_exact is not None or counter.exhausted:
             return counter.result("pce+memetic-tabu", pce_config.seed, run + 1)
     best = canonicalize(counter.best_sequence)

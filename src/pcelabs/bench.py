@@ -134,6 +134,10 @@ class RunRecord:
         )
 
 
+# The solver settings sections each campaign solver reads.
+_SECTIONS = {"pce": ("pce",), "tabu": ("tabu",), "warm": ("pce", "memetic", "warm")}
+
+
 @dataclass
 class CampaignConfig:
     """Everything a campaign needs, loadable from one JSON document.
@@ -166,6 +170,13 @@ class CampaignConfig:
             raise ValueError("runs_per_size must be >= 1")
         self.per_size = {int(k): dict(v) for k, v in self.per_size.items()}
         self.references = {int(k): list(v) for k, v in self.references.items()}
+        # Settings no run would read are a mistake in the document.
+        stray = sorted(set(self.per_size) - set(self.sizes))
+        if stray:
+            raise ValueError(f"per_size has sizes the campaign does not run: {stray}")
+        for section in ("pce", "tabu", "memetic", "warm"):
+            if getattr(self, section) and section not in _SECTIONS[self.solver]:
+                raise ValueError(f"a {self.solver} campaign does not use {section} settings")
         # Bad settings for any size fail here, before a run starts.
         for n in self.sizes:
             try:
@@ -182,8 +193,10 @@ class CampaignConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CampaignConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in doc.items() if k in known})
+        try:
+            return cls(**doc)
+        except TypeError as exc:
+            raise ValueError(f"campaign config: {exc}") from None
 
     def levels_for(self, n: int) -> list[int]:
         if n in self.references:

@@ -104,11 +104,6 @@ class PauliString:
     def weight(self) -> int:
         return (self.x_mask | self.z_mask).bit_count()
 
-    def commutes_with(self, other: "PauliString") -> bool:
-        if self.n != other.n:
-            raise ValueError("qubit counts differ")
-        return commutes(self, other)
-
     def __str__(self) -> str:
         return self.to_label()
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -25,7 +25,7 @@ import numpy as np
 from pcelabs import _kernels, state_sim
 from pcelabs.labs_core import canonicalize, sidelobe_energy
 from pcelabs.pauli_algebra import (
-    PauliSet,
+    PauliString,
     sample_anticommuting_set,
     sample_commuting_set,
 )
@@ -152,9 +152,6 @@ class PceConfig:
     def ansatz(self) -> AnsatzSpec:
         return AnsatzSpec(self.n_qubits, self.layers)
 
-    def with_seed(self, seed: int) -> "PceConfig":
-        return replace(self, seed=seed)
-
 
 @dataclass
 class SolveResult:
@@ -224,16 +221,14 @@ def resolve_engine(engine: str) -> str:
 
 
 class LossContext:
-    """Loss, expectations, and gradients for one ansatz and its Pauli sets.
+    """Expectations and loss gradients for one ansatz and its Pauli sets:
+    the forward pass, shot sampling and the adjoint sweep, on either
+    engine.  It counts nothing; the restart loop bills its steps.
 
     ``paulis`` is one Pauli list shared by every angle row, or a list of
     B Pauli lists, one per row of a (B, P) angle matrix: B restarts run
-    in lockstep.  Owns the evaluation counter: every decoded loss
-    evaluation of a row adds 1, and each analytic gradient row adds 2 * P
-    more when ``count_gradient_evals`` is set (the cost a parameter-shift
-    pass would bill on hardware).  Gradients are always computed from
-    exact expectations; finite shots affect only loss evaluation and
-    decoding.
+    in lockstep.  Gradients are always computed from exact expectations;
+    finite shots affect only the expectations a step returns.
     """
 
     def __init__(
@@ -245,7 +240,6 @@ class LossContext:
         shots: int = 0,
         rng: np.random.Generator | None = None,
         engine: str = "auto",
-        count_gradient_evals: bool = False,
     ):
         self.spec = spec
         self.paulis = list(paulis)
@@ -253,14 +247,10 @@ class LossContext:
         self.beta = float(beta)
         self.shots = int(shots)
         self.rng = rng if rng is not None else np.random.default_rng()
-        self.count_gradient_evals = count_gradient_evals
-        self.evals = 0
         self.program = spec.gate_program()
         self.tables = state_sim.pauli_tables(self.paulis, 1 << spec.n)
         self.engine = resolve_engine(engine)
         self._work = None  # adjoint work array, kept from step to step
-
-    # -- raw engine calls (uncounted) --
 
     def _row_tables(self, rows: int):
         """The (perms, coeffs) Pauli tables of each of ``rows`` angle rows."""
@@ -273,7 +263,7 @@ class LossContext:
         """(B, 2^n) states and (B, N) exact expectations for (B, P) angles."""
         if self.engine == "numba":
             prog = self.program
-            states = _kernels.evolve_batch(prog.perms, prog.coeffs, prog.params, thetas)
+            states = _kernels.evolve_batch(prog.perms, prog.coeffs, thetas)
             tables = self._row_tables(len(states))
             expect = [_kernels.pauli_expectations(psi[None], *t) for psi, t in zip(states, tables)]
             return states, np.concatenate(expect)
@@ -295,34 +285,15 @@ class LossContext:
         hits = self.rng.binomial(self.shots, p)
         return (2.0 * hits - self.shots) / self.shots
 
-    # -- counted evaluations --
-
     def step(
-        self, theta: np.ndarray, gradient: bool = True
+        self, thetas: np.ndarray, gradient: bool = True
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        """One counted loss evaluation per angle row, from a single forward
-        pass: the expectations (sampled when shots > 0) and, if
-        ``gradient``, the uncounted loss gradient, else None.  ``theta``
-        is (P,) or (B, P); the results have the same leading shape."""
-        thetas = np.atleast_2d(np.asarray(theta, dtype=np.float64))
+        """One loss evaluation per row of a (B, P) angle matrix, from a
+        single forward pass: the (B, N) expectations (sampled when shots
+        > 0) and, if ``gradient``, the (B, P) loss gradient, else None."""
         states, exact = self._forward(thetas)
         e = self._sample(exact) if self.shots > 0 else exact
-        self.evals += len(thetas)
-        grad = self.gradient(thetas, (states, exact)) if gradient else None
-        if np.ndim(theta) == 1:
-            return e[0], None if grad is None else grad[0]
-        return e, grad
-
-    def loss_from_expectations(self, expectations: np.ndarray) -> float:
-        return relaxed_loss(relax(expectations, self.alpha), self.beta)
-
-    def value_and_expectations(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        """One counted loss evaluation; returns (loss, expectations)."""
-        e, _ = self.step(theta, gradient=False)
-        return self.loss_from_expectations(e), e
-
-    def value(self, theta: np.ndarray) -> float:
-        return self.value_and_expectations(theta)[0]
+        return e, self.gradient(thetas, (states, exact)) if gradient else None
 
     def gradient(
         self, theta: np.ndarray, forward: tuple[np.ndarray, np.ndarray] | None = None
@@ -337,18 +308,16 @@ class LossContext:
         for b, (perms, coeffs) in enumerate(self._row_tables(len(thetas))):
             lams[b] = self._loss_weights(exact[b]) @ (coeffs * states[b][perms])
         prog = self.program
-        tables = (prog.perms, prog.coeffs, prog.params)
+        tables = (prog.perms, prog.coeffs)
         if self.engine == "numba":
             grad = np.array(
                 [_kernels.adjoint_gradient(*tables, *row) for row in zip(thetas, states, lams)]
             )
         else:
-            shape = (3 * prog.params.size + 2, len(thetas), states.shape[1])
+            shape = (3 * len(prog.perms) + 2, len(thetas), states.shape[1])
             if self._work is None or self._work.shape != shape:
                 self._work = np.empty(shape, dtype=np.complex128)
             grad = _adjoint_gradient(*tables, thetas, states, lams, self._work)
-        if self.count_gradient_evals:
-            self.evals += 2 * prog.param_count * len(thetas)
         return grad if np.ndim(theta) == 2 else grad[0]
 
     def _loss_weights(self, exact_e: np.ndarray) -> np.ndarray:
@@ -360,7 +329,6 @@ class LossContext:
 def _adjoint_gradient(
     perms: np.ndarray,
     coeffs: np.ndarray,
-    params: np.ndarray,
     thetas: np.ndarray,
     psis: np.ndarray,
     lams: np.ndarray,
@@ -384,10 +352,10 @@ def _adjoint_gradient(
     at B = 16 that took about a fifth of a step on a 2-CPU host.
     """
     rows = len(thetas)
-    count = params.size
+    count = len(perms)
     trail = work[: 2 * count + 2].reshape(count + 1, 2, rows, -1)
     weights = work[2 * count + 2 :]
-    half = thetas[:, params].T[:, :, None] / 2.0
+    half = np.ascontiguousarray(thetas.T)[:, :, None] / 2.0
     cos = np.cos(half)
     np.multiply(-1j * np.sin(half), coeffs[:, None, :], out=weights)
     trail[count] = psis, lams
@@ -404,7 +372,7 @@ def _adjoint_gradient(
     grad = np.zeros(thetas.shape)
     for b in range(rows):
         g_psi = coeffs * past[gates, 0, b, perms]
-        grad[b, params] = np.einsum("gc,gc->g", past[:, 1, b].conj(), g_psi).imag
+        grad[b] = np.einsum("gc,gc->g", past[:, 1, b].conj(), g_psi).imag
     return grad
 
 
@@ -465,8 +433,8 @@ def _make_optimizer(config: PceConfig, shape):
 
 def _sample_pauli_set(
     config: PceConfig, count: int, rng: np.random.Generator
-) -> PauliSet:
-    """Draw a correlator set and assign its strings to random positions.
+) -> list[PauliString]:
+    """Draw a correlator set and return its strings in random positions.
 
     The growth procedures return strict-relation strings first; leaving
     them clustered at the low sequence positions measurably slows the
@@ -476,13 +444,7 @@ def _sample_pauli_set(
         drawn = sample_anticommuting_set(config.n_qubits, count, rng)
     else:
         drawn = sample_commuting_set(config.n_qubits, count, rng)
-    perm = rng.permutation(count)
-    return PauliSet(
-        n=drawn.n,
-        mode=drawn.mode,
-        paulis=[drawn.paulis[i] for i in perm],
-        strict_count=drawn.strict_count,
-    )
+    return [drawn.paulis[i] for i in rng.permutation(count)]
 
 
 class EvalCounter:
@@ -613,13 +575,16 @@ def _descend(N: int, config: PceConfig, counter: EvalCounter) -> int:
     """The restart loop of ``solve``, observing into ``counter`` from its
     current evaluation count on; returns the restarts used.
 
-    Under a budget the run ends, without a gradient, on the evaluation
-    after which a further step would not fit.
+    Every step costs each restart 1 evaluation, plus the 2P circuits of a
+    parameter-shift pass when it takes a gradient and
+    ``count_gradient_evals`` is set.  Under a budget the run ends, without
+    a gradient, on the evaluation after which a further step would not
+    fit.
     """
     rng = np.random.default_rng(config.seed)
     spec = config.ansatz()
     iters = config.iters_per_restart
-    step_cost = 1 + (2 * spec.param_count if config.count_gradient_evals else 0)
+    gradient_cost = 2 * spec.param_count if config.count_gradient_evals else 0
     budget = counter.budget
     lockstep = (
         config.shots == 0 and budget is None and resolve_engine(config.engine) == "numpy"
@@ -632,7 +597,7 @@ def _descend(N: int, config: PceConfig, counter: EvalCounter) -> int:
         batch = min(rows, config.restart_cap - restarts_used)
         pauli_sets, thetas = [], []
         for _ in range(batch):
-            pauli_sets.append(_sample_pauli_set(config, N, rng).paulis)
+            pauli_sets.append(_sample_pauli_set(config, N, rng))
             thetas.append(rng.uniform(-math.pi, math.pi, spec.param_count))
         ctx = LossContext(
             spec,
@@ -642,37 +607,37 @@ def _descend(N: int, config: PceConfig, counter: EvalCounter) -> int:
             shots=config.shots,
             rng=rng,
             engine=config.engine,
-            count_gradient_evals=config.count_gradient_evals,
         )
         thetas = np.array(thetas)
         optimizer = _make_optimizer(config, thetas.shape)
         start = counter.evals
-        spent = []  # evaluations each restart of the batch has cost, per step
+        done = 0  # evaluations each restart of the batch has cost so far
+        spent = []  # done, per step
         trail = []  # (energies, sequences) of the batch, per step
         # The initial angles are evaluated and decoded too, so a restart
         # costs iters_per_restart + 1 loss evaluations.
         for it in range(iters + 1):
-            last = budget is not None and start + ctx.evals + step_cost >= budget
+            last = budget is not None and start + done + 1 + gradient_cost >= budget
             e, grad = ctx.step(thetas, gradient=it < iters and not last)
-            spent.append(ctx.evals // batch)
+            done += 1 if grad is None else 1 + gradient_cost
+            spent.append(done)
             sequences = decode(e)
             energies = [sidelobe_energy(x) for x in sequences]
             trail.append((energies, sequences))
             # The batch's first restart comes first in the count, so it is
             # observed as it runs and the exact level stops it at once.
-            if counter.observe(sequences[0], energies[0], start + spent[-1]) or last:
-                counter.evals = start + spent[-1]
+            if counter.observe(sequences[0], energies[0], start + done) or last:
+                counter.evals = start + done
                 return restarts_used + 1
             if grad is not None:
                 thetas = optimizer.update(thetas, grad)
         # The others follow it restart by restart.
-        cost = spent[-1]
         for k in range(1, batch):
-            for (energies, sequences), done in zip(trail, spent):
-                index = start + k * cost + done
+            for (energies, sequences), so_far in zip(trail, spent):
+                index = start + k * done + so_far
                 if counter.observe(sequences[k], energies[k], index):
                     counter.evals = index
                     return restarts_used + k + 1
-        counter.evals = start + batch * cost
+        counter.evals = start + batch * done
         restarts_used += batch
     return restarts_used

@@ -44,12 +44,10 @@ __all__ = [
 ]
 
 class GateProgram(NamedTuple):
-    """Flat gate list: gate g is exp(-i t G_g / 2) with t the parameter
-    params[g]; perms[g] and coeffs[g], shape (gates, 2^n) stacked, are
+    """Flat gate list: gate g is exp(-i t G_g / 2) with t the angle
+    theta[g]; perms[g] and coeffs[g], shape (gates, 2^n) stacked, are
     the table of its generator G_g."""
 
-    params: np.ndarray
-    param_count: int
     perms: np.ndarray
     coeffs: np.ndarray
 
@@ -104,9 +102,7 @@ class AnsatzSpec:
 
     @property
     def param_count(self) -> int:
-        return sum(
-            2 * self.n + len(self.brick_pairs(layer)) for layer in range(self.layers)
-        )
+        return len(self.gate_program().perms)
 
     def gate_program(self) -> GateProgram:
         return _build_program(self.n, self.layers)
@@ -128,13 +124,7 @@ def _build_program(n: int, layers: int) -> GateProgram:
         for q1, q2 in spec.brick_pairs(layer):
             x_masks.append((1 << q1) | (1 << q2))
             z_masks.append(0)
-    perms, coeffs = _tables(np.array(x_masks), np.array(z_masks), 1 << n)
-    return GateProgram(
-        params=np.arange(len(x_masks), dtype=np.int64),
-        param_count=len(x_masks),
-        perms=perms,
-        coeffs=coeffs,
-    )
+    return GateProgram(*_tables(np.array(x_masks), np.array(z_masks), 1 << n))
 
 
 def zero_state(n: int, batch: int | None = None) -> np.ndarray:
@@ -172,12 +162,13 @@ def run_ansatz_batch(spec: AnsatzSpec, thetas: np.ndarray) -> np.ndarray:
     """
     prog = spec.gate_program()
     thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
-    if thetas.shape[1] != prog.param_count:
+    if thetas.shape[1] != len(prog.perms):
         raise ValueError(
-            f"expected {prog.param_count} parameters, got {thetas.shape[1]}"
+            f"expected {len(prog.perms)} parameters, got {thetas.shape[1]}"
         )
     states = zero_state(spec.n, batch=thetas.shape[0])
-    half = thetas[:, prog.params].T[:, :, None] / 2.0
+    # Gate-major rows, so each gate's angles and weights are contiguous.
+    half = np.ascontiguousarray(thetas.T)[:, :, None] / 2.0
     weights = 1j * np.sin(half) * prog.coeffs[:, None, :]
     for perm, weight, c in zip(prog.perms, weights, np.cos(half)):
         turn(states, perm, weight, c)

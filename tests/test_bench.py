@@ -126,13 +126,16 @@ def test_campaign_is_deterministic():
 def test_records_name_the_engine_that_ran():
     pce = {"restart_cap": 1, "iters_per_restart": 2}
     ran = pce_solver.resolve_engine("auto")
-    (record,) = run_campaign(small_campaign(solver="pce", sizes=[5], runs_per_size=1, pce=pce))
+    (record,) = run_campaign(
+        small_campaign(solver="pce", sizes=[5], runs_per_size=1, pce=pce, tabu={})
+    )
     assert record.config["engine"] == ran
     warm = small_campaign(
         solver="warm",
         sizes=[5],
         runs_per_size=1,
         pce=pce,
+        tabu={},
         memetic={"eval_budget": 200},
         warm={"pce_runs": 2, "population_copies": 2},
     )

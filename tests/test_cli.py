@@ -235,6 +235,9 @@ BAD_CAMPAIGNS = {
     "unknown-warm-key": {
         "solver": "warm", "pce": {"restart_cap": 1}, "warm": {"runs": 2}
     },
+    "misspelt-top-level-key": {"base_sed": 3},
+    "per-size-for-a-size-not-run": {"sizes": [5], "per_size": {"7": {"budget": 5}}},
+    "another-solvers-settings": {"solver": "pce", "tabu": {"budget": 5}, "memetic": {"x": 1}},
 }
 
 

@@ -87,6 +87,10 @@ def test_relaxed_loss_gradient_matches_finite_differences(seed, beta):
         assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-5)
 
 
+def exact_loss(ctx, theta):
+    return relaxed_loss(relax(ctx.exact_expectations(theta)[0], ctx.alpha), ctx.beta)
+
+
 def test_parameter_shift_matches_finite_differences():
     ctx = make_context()
     theta = np.random.default_rng(3).uniform(-np.pi, np.pi, ctx.spec.param_count)
@@ -96,7 +100,7 @@ def test_parameter_shift_matches_finite_differences():
         tp, tm = theta.copy(), theta.copy()
         tp[k] += eps
         tm[k] -= eps
-        fd = (ctx.value(tp) - ctx.value(tm)) / (2 * eps)
+        fd = (exact_loss(ctx, tp) - exact_loss(ctx, tm)) / (2 * eps)
         assert analytic[k] == pytest.approx(fd, abs=1e-5)
 
 
@@ -147,15 +151,17 @@ def test_numpy_adjoint_gradient_equals_parameter_shift(mode):
 
 
 def test_step_matches_separate_value_and_gradient():
+    """A step's sampled expectations do not depend on whether it takes the
+    gradient, and its gradient is the one a separate sweep computes."""
     stepped = make_context(seed=4, shots=16, engine="numpy")
     separate = make_context(seed=4, shots=16, engine="numpy")
-    theta = np.random.default_rng(6).uniform(-np.pi, np.pi, stepped.spec.param_count)
-    e, grad = stepped.step(theta)
-    want_loss, want_e = separate.value_and_expectations(theta)
-    assert stepped.loss_from_expectations(e) == want_loss
+    thetas = np.random.default_rng(6).uniform(-np.pi, np.pi, (3, stepped.spec.param_count))
+    e, grad = stepped.step(thetas)
+    want_e, no_grad = separate.step(thetas, gradient=False)
+    assert no_grad is None
+    assert e.shape == (3, len(stepped.paulis)) and grad.shape == thetas.shape
     np.testing.assert_array_equal(e, want_e)
-    np.testing.assert_array_equal(grad, separate.gradient(theta))
-    assert stepped.evals == separate.evals == 1
+    np.testing.assert_array_equal(grad, separate.gradient(thetas))
 
 
 def test_solve_evolves_one_row_per_counted_eval(monkeypatch):
@@ -266,9 +272,9 @@ def test_numba_engine_runs_one_restart_per_batch(numba_engine):
     rows = []
     evolve = _kernels.evolve_batch
 
-    def counted(perms, coeffs, params, thetas):
+    def counted(perms, coeffs, thetas):
         rows.append(len(thetas))
-        return evolve(perms, coeffs, params, thetas)
+        return evolve(perms, coeffs, thetas)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_kernels, "evolve_batch", counted)
@@ -369,20 +375,25 @@ def test_gradient_ignores_shot_noise():
     np.testing.assert_allclose(noisy.gradient(theta), clean.gradient(theta), atol=1e-12)
 
 
-def test_eval_counting_defaults_to_loss_only():
-    ctx = make_context()
-    theta = np.zeros(ctx.spec.param_count)
-    ctx.value_and_expectations(theta)
-    assert ctx.evals == 1
-    ctx.gradient(theta)
-    assert ctx.evals == 1
-
-
-def test_eval_counting_can_bill_gradients():
-    ctx = make_context(count_gradient_evals=True)
-    theta = np.zeros(ctx.spec.param_count)
-    ctx.gradient(theta)
-    assert ctx.evals == 2 * ctx.spec.param_count
+@pytest.mark.parametrize("engine", ["numpy", "numba"])
+@pytest.mark.parametrize("count_gradient_evals", [False, True])
+def test_solve_bills_gradients_only_when_asked(engine, count_gradient_evals, numba_engine):
+    """A step costs each restart 1 evaluation, plus 2P when it takes a
+    gradient and gradients are billed; the last step of a restart takes
+    none.  On numpy the 5 restarts run in lockstep batches of 2 and 3, on
+    numba one at a time."""
+    config = PceConfig(
+        n_qubits=3,
+        layers=2,
+        iters_per_restart=3,
+        restart_cap=5,
+        count_gradient_evals=count_gradient_evals,
+        engine=engine,
+    )
+    p = config.ansatz().param_count
+    result = solve(11, config)
+    assert result.total_evals == 5 * (1 + 3 * (1 + 2 * p * count_gradient_evals))
+    assert result.restarts_used == 5
 
 
 def test_counters_record_first_crossing_only():

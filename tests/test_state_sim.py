@@ -87,8 +87,9 @@ def test_gate_program_shape():
     ms_gates = np.count_nonzero(weights == 2)
     assert rotations == 4 * 2 * 3
     assert ms_gates == 6
-    assert rotations + ms_gates == program.params.size
-    assert max(program.params) + 1 == spec.param_count
+    # gate g turns by theta[g]: one angle per gate
+    assert rotations + ms_gates == len(program.perms) == spec.param_count
+    assert program.coeffs.shape == program.perms.shape
 
 
 def test_ansatz_against_dense_reference(rng):
