@@ -1,9 +1,9 @@
 """Jitted hot loops for the variational solver.
 
 Numba compilations of the statevector evolution, Pauli expectation, and
-reverse-mode (adjoint) gradient sweep.  They read the same generator
-tables as the numpy engine (``state_sim.GateProgram.perms/coeffs``
-and ``state_sim.PauliTables``) and apply every gate through one loop,
+reverse-mode (adjoint) gradient sweep.  They read the same
+``state_sim.PauliTables`` as the numpy engine, for the gates and the
+measured strings alike, and apply every gate through one loop,
 ``_turn``, which computes ``state_sim.turn`` element by element in the
 same operation order.  Without numba the ``njit`` shim below leaves them
 plain Python, and the tests run them that way against the numpy engine.

@@ -36,7 +36,6 @@ from pcelabs.pce_solver import (
 __all__ = [
     "ExactResult",
     "exact_solve",
-    "references_from_exact",
     "TabuConfig",
     "tabu_search",
     "MemeticConfig",
@@ -153,10 +152,6 @@ def exact_solve(N: int, levels: int = 3) -> ExactResult:
         level_energies=level_energies,
         canonical_optima=optima,
     )
-
-
-def references_from_exact(result: ExactResult) -> EnergyReferences:
-    return EnergyReferences.from_levels(result.level_energies)
 
 
 # ---------------------------------------------------------------------------

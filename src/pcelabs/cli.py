@@ -47,13 +47,15 @@ def _out_path(raw: str) -> Path:
     return path
 
 
-def _default_workers() -> int:
-    raw = os.environ.get(ENV_WORKERS)
+def _workers(flag: int | None) -> int:
+    """The ``--workers`` flag, else the environment override, else 1;
+    below 1 is invalid input from either source."""
+    name, raw = "--workers", flag
     if raw is None:
-        return 1
+        name, raw = ENV_WORKERS, os.environ.get(ENV_WORKERS, "1")
     workers = int(raw)
     if workers < 1:
-        raise ValueError(f"{ENV_WORKERS} must be >= 1, got {raw}")
+        raise ValueError(f"{name} must be >= 1, got {raw}")
     return workers
 
 
@@ -182,7 +184,7 @@ def cmd_bench(args) -> int:
         config = bench.CampaignConfig.from_dict(json.load(fh))
     if args.timing:
         config.timing = True
-    workers = args.workers if args.workers is not None else _default_workers()
+    workers = _workers(args.workers)
     records = bench.run_campaign(config, workers=workers)
     out = _out_path(args.out)
     bench.write_records(records, out)

@@ -172,10 +172,6 @@ class FlipWorkspace:
         return self._x.copy()
 
     @property
-    def autocorr(self) -> np.ndarray:
-        return self._c.copy()
-
-    @property
     def energy(self) -> int:
         return self._energy
 

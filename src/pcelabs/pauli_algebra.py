@@ -28,11 +28,8 @@ import numpy as np
 __all__ = [
     "PauliString",
     "PauliSet",
-    "commutes",
-    "mub_partition",
     "sample_commuting_set",
     "sample_anticommuting_set",
-    "max_anticommuting_size",
 ]
 
 MAX_QUBITS = 12
@@ -98,20 +95,8 @@ class PauliString:
             for q in range(self.n)
         )
 
-    def y_count(self) -> int:
-        return (self.x_mask & self.z_mask).bit_count()
-
-    def weight(self) -> int:
-        return (self.x_mask | self.z_mask).bit_count()
-
     def __str__(self) -> str:
         return self.to_label()
-
-
-def commutes(p: PauliString, q: PauliString) -> bool:
-    """True iff the two strings commute (symplectic form evaluates to 0)."""
-    sym = (p.x_mask & q.z_mask).bit_count() + (p.z_mask & q.x_mask).bit_count()
-    return sym % 2 == 0
 
 
 @dataclass
@@ -144,12 +129,6 @@ class PauliSet:
     def __getitem__(self, idx):
         return self.paulis[idx]
 
-    def mask_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(x_masks, z_masks) as int64 arrays, in set order."""
-        xs = np.array([p.x_mask for p in self.paulis], dtype=np.int64)
-        zs = np.array([p.z_mask for p in self.paulis], dtype=np.int64)
-        return xs, zs
-
     def to_dict(self) -> dict:
         return {
             "n": self.n,
@@ -157,16 +136,6 @@ class PauliSet:
             "strict_count": self.strict_count,
             "paulis": [p.to_label() for p in self.paulis],
         }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "PauliSet":
-        paulis = [PauliString.from_label(lbl) for lbl in doc["paulis"]]
-        return cls(
-            n=doc["n"],
-            mode=doc["mode"],
-            paulis=paulis,
-            strict_count=doc.get("strict_count"),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -239,34 +208,8 @@ def _mub_codes(n: int) -> np.ndarray:
     return table
 
 
-def mub_partition(n: int) -> list[PauliSet]:
-    """Partition all 4^n - 1 traceless strings into 2^n + 1 commuting classes.
-
-    Returns the classes in a fixed order: the Z-type class {(0, z)} first,
-    then the classes labelled by field elements 0 .. 2^n - 1 (the label-0
-    class is the X-type one).  Each class has 2^n - 1 strings.
-    """
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
-    table = _mub_codes(n)
-    low = (1 << n) - 1
-    return [
-        PauliSet(
-            n=n,
-            mode="commuting",
-            paulis=[PauliString(n, int(c) >> n, int(c) & low) for c in table[row, 1:]],
-        )
-        for row in [len(table) - 1, *range(len(table) - 1)]
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Random Pauli set growth.
-
-
-def max_anticommuting_size(n: int) -> int:
-    """Largest pairwise anticommuting set on n qubits: 2n + 1."""
-    return 2 * n + 1
 
 
 def _code(x_mask: int, z_mask: int, n: int) -> int:
@@ -335,6 +278,8 @@ def _draw_candidates(table: np.ndarray, bounds, rng: np.random.Generator, k: int
 
 
 def _grow_set(n: int, count: int, rng: np.random.Generator, mode: str) -> PauliSet:
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
     if count < 1:
         raise ValueError("set size must be positive")
     if count > (1 << (2 * n)) - 1:

@@ -25,6 +25,7 @@ import numpy as np
 from pcelabs import _kernels, state_sim
 from pcelabs.labs_core import canonicalize, sidelobe_energy
 from pcelabs.pauli_algebra import (
+    MAX_QUBITS,
     PauliString,
     sample_anticommuting_set,
     sample_commuting_set,
@@ -47,10 +48,8 @@ __all__ = [
     "EvalCounter",
     "LossContext",
     "relax",
-    "relaxed_loss",
     "relaxed_loss_gradient",
     "decode",
-    "parameter_shift_gradient",
     "resolve_engine",
     "solve",
 ]
@@ -64,17 +63,6 @@ def relax(expectations: np.ndarray, alpha: float) -> np.ndarray:
 def _soft_autocorrelations(x_tilde: np.ndarray) -> np.ndarray:
     full = np.correlate(x_tilde, x_tilde, mode="full")
     return full[x_tilde.size :]
-
-
-def relaxed_loss(x_tilde: np.ndarray, beta: float) -> float:
-    """L = sum_l C_l(x~)^2 - beta sum_i x~_i^2.
-
-    On a binary +-1 vector with beta = 0 this equals the integer sidelobe
-    energy exactly (all intermediate floats are integers below 2^53).
-    """
-    x_tilde = np.asarray(x_tilde, dtype=np.float64)
-    c = _soft_autocorrelations(x_tilde)
-    return float(np.dot(c, c) - beta * np.dot(x_tilde, x_tilde))
 
 
 def relaxed_loss_gradient(x_tilde: np.ndarray, beta: float) -> np.ndarray:
@@ -127,8 +115,8 @@ class PceConfig:
     engine: str = "auto"
 
     def __post_init__(self):
-        if self.n_qubits < 2:
-            raise ValueError("need at least 2 qubits")
+        if not 2 <= self.n_qubits <= MAX_QUBITS:
+            raise ValueError(f"n_qubits must be in [2, {MAX_QUBITS}], got {self.n_qubits}")
         if self.layers < 1:
             raise ValueError("need at least 1 layer")
         if self.pauli_mode not in ("anticommuting", "commuting"):
@@ -190,24 +178,6 @@ class SolveResult:
             "evals_to_first": self.evals_to_first,
             "evals_to_second": self.evals_to_second,
         }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SolveResult":
-        from pcelabs.labs_core import parse_sequence
-
-        return cls(
-            solver=doc["solver"],
-            n=doc["n"],
-            seed=doc["seed"],
-            best_sequence=parse_sequence(doc["best_sequence"]),
-            best_energy=doc["best_energy"],
-            merit_factor=doc["merit_factor"],
-            total_evals=doc["total_evals"],
-            restarts_used=doc["restarts_used"],
-            evals_to_exact=doc.get("evals_to_exact"),
-            evals_to_first=doc.get("evals_to_first"),
-            evals_to_second=doc.get("evals_to_second"),
-        )
 
 
 def resolve_engine(engine: str) -> str:
@@ -374,27 +344,6 @@ def _adjoint_gradient(
         g_psi = coeffs * past[gates, 0, b, perms]
         grad[b] = np.einsum("gc,gc->g", past[:, 1, b].conj(), g_psi).imag
     return grad
-
-
-def parameter_shift_gradient(ctx: LossContext, theta: np.ndarray) -> np.ndarray:
-    """dL/dtheta from two exact evaluations per parameter.
-
-    Every gate generator here has eigenvalues +-1/2 scaled into
-    exp(-i t G / 2) form, so d<P>/dt = (<P>(t + pi/2) - <P>(t - pi/2)) / 2
-    holds exactly; the loss gradient follows by the chain rule through
-    x~ = tanh(alpha e).  The solver uses the adjoint sweep; this is its
-    test oracle and the cost model a hardware run would pay (2P circuits).
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    p = theta.size
-    batch = np.repeat(theta[None, :], 2 * p + 1, axis=0)
-    idx = np.arange(p)
-    batch[2 * idx + 1, idx] += math.pi / 2.0
-    batch[2 * idx + 2, idx] -= math.pi / 2.0
-    ex = ctx.exact_expectations(batch)
-    weights = ctx._loss_weights(ex[0])
-    shifts = (ex[1::2] - ex[2::2]) / 2.0
-    return shifts @ weights
 
 
 class _Adam:

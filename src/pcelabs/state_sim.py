@@ -28,32 +28,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from pcelabs.pauli_algebra import PauliString
-
 __all__ = [
     "AnsatzSpec",
-    "GateProgram",
     "PauliTables",
     "pauli_tables",
     "turn",
-    "zero_state",
-    "run_ansatz",
     "run_ansatz_batch",
-    "expectation",
     "expectations_batch",
 ]
 
-class GateProgram(NamedTuple):
-    """Flat gate list: gate g is exp(-i t G_g / 2) with t the angle
-    theta[g]; perms[g] and coeffs[g], shape (gates, 2^n) stacked, are
-    the table of its generator G_g."""
-
-    perms: np.ndarray
-    coeffs: np.ndarray
-
 
 class PauliTables(NamedTuple):
-    """Stacked tables of a Pauli list: (P_i psi)[c] = coeffs[i, c] psi[perms[i, c]]."""
+    """Stacked tables of a Pauli list, measured strings or gate generators:
+    (P_i psi)[c] = coeffs[i, c] psi[perms[i, c]]."""
 
     perms: np.ndarray
     coeffs: np.ndarray
@@ -104,7 +91,9 @@ class AnsatzSpec:
     def param_count(self) -> int:
         return len(self.gate_program().perms)
 
-    def gate_program(self) -> GateProgram:
+    def gate_program(self) -> PauliTables:
+        """The generator tables of the gates in circuit order: gate g is
+        exp(-i t G_g / 2) with t the angle theta[g]."""
         return _build_program(self.n, self.layers)
 
 
@@ -113,7 +102,7 @@ _AXIS_MASKS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
 
 @lru_cache(maxsize=64)
-def _build_program(n: int, layers: int) -> GateProgram:
+def _build_program(n: int, layers: int) -> PauliTables:
     spec = AnsatzSpec(n, layers)
     x_masks, z_masks = [], []
     for layer in range(layers):
@@ -124,19 +113,7 @@ def _build_program(n: int, layers: int) -> GateProgram:
         for q1, q2 in spec.brick_pairs(layer):
             x_masks.append((1 << q1) | (1 << q2))
             z_masks.append(0)
-    return GateProgram(*_tables(np.array(x_masks), np.array(z_masks), 1 << n))
-
-
-def zero_state(n: int, batch: int | None = None) -> np.ndarray:
-    """|0...0> as a statevector, or a batch of them."""
-    dim = 1 << n
-    if batch is None:
-        psi = np.zeros(dim, dtype=np.complex128)
-        psi[0] = 1.0
-    else:
-        psi = np.zeros((batch, dim), dtype=np.complex128)
-        psi[:, 0] = 1.0
-    return psi
+    return _tables(np.array(x_masks), np.array(z_masks), 1 << n)
 
 
 def turn(states: np.ndarray, perm: np.ndarray, weight: np.ndarray, cos_half) -> None:
@@ -155,7 +132,8 @@ def turn(states: np.ndarray, perm: np.ndarray, weight: np.ndarray, cos_half) -> 
 
 
 def run_ansatz_batch(spec: AnsatzSpec, thetas: np.ndarray) -> np.ndarray:
-    """Run the brickwork circuit for each row of a (B, P) angle matrix.
+    """Run the brickwork circuit for each row of a (B, P) angle matrix; a
+    (P,) vector is one row.
 
     Returns a (B, 2^n) array of statevectors.  All rows share the gate
     sequence; only the angles differ.
@@ -166,7 +144,8 @@ def run_ansatz_batch(spec: AnsatzSpec, thetas: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"expected {len(prog.perms)} parameters, got {thetas.shape[1]}"
         )
-    states = zero_state(spec.n, batch=thetas.shape[0])
+    states = np.zeros((thetas.shape[0], 1 << spec.n), dtype=np.complex128)
+    states[:, 0] = 1.0
     # Gate-major rows, so each gate's angles and weights are contiguous.
     half = np.ascontiguousarray(thetas.T)[:, :, None] / 2.0
     weights = 1j * np.sin(half) * prog.coeffs[:, None, :]
@@ -176,19 +155,6 @@ def run_ansatz_batch(spec: AnsatzSpec, thetas: np.ndarray) -> np.ndarray:
     if not np.allclose(norms, 1.0, atol=1e-9):
         raise AssertionError("state norm drifted beyond 1e-9")
     return states
-
-
-def run_ansatz(spec: AnsatzSpec, theta: np.ndarray) -> np.ndarray:
-    """Single-parameter-vector version of ``run_ansatz_batch``."""
-    return run_ansatz_batch(spec, np.asarray(theta)[None, :])[0]
-
-
-def expectation(state: np.ndarray, pauli: PauliString) -> float:
-    """<psi|P|psi> for a normalized state; checked real to 1e-9."""
-    dim = 1 << pauli.n
-    if state.shape != (dim,):
-        raise ValueError(f"state shape {state.shape} does not match {pauli.n} qubits")
-    return float(expectations_batch(state, [pauli])[0, 0])
 
 
 def expectations_batch(states: np.ndarray, paulis) -> np.ndarray:

@@ -1,10 +1,13 @@
-"""Reference Pauli set sampler: one candidate string per draw.
+"""Reference Pauli set sampler, one candidate string per draw, and the
+commutation and mutually-unbiased-partition oracles.
 
-This is the sampler ``pauli_algebra._grow_set`` replaced.  It draws each
-candidate with two scalar ``rng.integers`` calls and maps it to a string
-by a GF(2^n) product and a bit-matrix product, then tests it against the
-accepted strings one by one.  The block sampler must give the same set,
-raise the same errors and leave the generator in the same state.
+``grow_set`` is the sampler ``pauli_algebra._grow_set`` replaced.  It
+draws each candidate with two scalar ``rng.integers`` calls and maps it
+to a string by a GF(2^n) product and a bit-matrix product, then tests it
+against the accepted strings one by one.  The block sampler must give
+the same set, raise the same errors and leave the generator in the same
+state.  ``mub_partition`` reads the classes out of the sampler's cached
+code table, so the tests can check the table's structure.
 """
 
 from __future__ import annotations
@@ -15,6 +18,33 @@ import numpy as np
 
 from pcelabs import pauli_algebra as pa
 from pcelabs.pauli_algebra import PauliSet, PauliString, SetSamplingError
+
+
+def commutes(p: PauliString, q: PauliString) -> bool:
+    """True iff the two strings commute (symplectic form evaluates to 0)."""
+    sym = (p.x_mask & q.z_mask).bit_count() + (p.z_mask & q.x_mask).bit_count()
+    return sym % 2 == 0
+
+
+def mub_partition(n: int) -> list[PauliSet]:
+    """Partition all 4^n - 1 traceless strings into 2^n + 1 commuting classes.
+
+    Returns the classes in a fixed order: the Z-type class {(0, z)} first,
+    then the classes labelled by field elements 0 .. 2^n - 1 (the label-0
+    class is the X-type one).  Each class has 2^n - 1 strings.
+    """
+    if not 1 <= n <= pa.MAX_QUBITS:
+        raise ValueError(f"qubit count must be in [1, {pa.MAX_QUBITS}], got {n}")
+    table = pa._mub_codes(n)
+    low = (1 << n) - 1
+    return [
+        PauliSet(
+            n=n,
+            mode="commuting",
+            paulis=[PauliString(n, int(c) >> n, int(c) & low) for c in table[row, 1:]],
+        )
+        for row in [len(table) - 1, *range(len(table) - 1)]
+    ]
 
 
 def _apply_bit_matrix(rows: Sequence[int], v: int) -> int:

@@ -13,7 +13,6 @@ from pcelabs.baselines import (
     exact_solve,
     memetic_tabu,
     pce_warm_start,
-    references_from_exact,
     tabu_search,
 )
 from pcelabs.labs_core import canonicalize, parse_sequence, sidelobe_energy
@@ -96,13 +95,13 @@ def test_exact_range_validation():
 
 
 def test_references_from_exact():
-    refs = references_from_exact(exact_solve(13))
+    refs = EnergyReferences.from_levels(exact_solve(13).level_energies)
     assert refs == EnergyReferences(exact=6, first=14, second=18)
 
 
 def test_tabu_solves_small_sizes():
     for n, optimum in [(5, 2), (7, 3), (13, 6)]:
-        refs = references_from_exact(exact_solve(n))
+        refs = EnergyReferences.from_levels(exact_solve(n).level_energies)
         result = tabu_search(n, TabuConfig(seed=3), refs)
         assert result.best_energy == optimum
         assert result.evals_to_exact is not None
@@ -110,7 +109,7 @@ def test_tabu_solves_small_sizes():
 
 
 def test_tabu_counters_ordered():
-    refs = references_from_exact(exact_solve(13))
+    refs = EnergyReferences.from_levels(exact_solve(13).level_energies)
     result = tabu_search(13, TabuConfig(seed=41), refs)
     assert result.evals_to_second <= result.evals_to_first <= result.evals_to_exact
     assert result.evals_to_exact <= result.total_evals
@@ -123,7 +122,7 @@ def test_tabu_respects_budget():
 
 
 def test_tabu_deterministic():
-    refs = references_from_exact(exact_solve(11))
+    refs = EnergyReferences.from_levels(exact_solve(11).level_energies)
     a = tabu_search(11, TabuConfig(seed=7), refs)
     b = tabu_search(11, TabuConfig(seed=7), refs)
     assert a.to_dict() == b.to_dict()
@@ -227,7 +226,7 @@ def test_memetic_rejects_length_mismatch():
 def test_memetic_solves_from_random_population():
     rng = np.random.default_rng(5)
     pop = [rng.choice([-1, 1], 13).astype(np.int8) for _ in range(10)]
-    refs = references_from_exact(exact_solve(13))
+    refs = EnergyReferences.from_levels(exact_solve(13).level_energies)
     result = memetic_tabu(13, pop, MemeticConfig(seed=5), refs)
     assert result.best_energy == 6
     assert result.solver == "memetic-tabu"
@@ -236,7 +235,7 @@ def test_memetic_solves_from_random_population():
 def test_memetic_deterministic():
     rng = np.random.default_rng(8)
     pop = [rng.choice([-1, 1], 11).astype(np.int8) for _ in range(6)]
-    refs = references_from_exact(exact_solve(11))
+    refs = EnergyReferences.from_levels(exact_solve(11).level_energies)
     a = memetic_tabu(11, [p.copy() for p in pop], MemeticConfig(seed=2), refs)
     b = memetic_tabu(11, [p.copy() for p in pop], MemeticConfig(seed=2), refs)
     assert a.to_dict() == b.to_dict()
@@ -245,7 +244,7 @@ def test_memetic_deterministic():
 def test_warm_start_chains_counters():
     """Counters from the variational phase and the memetic phase live on
     one shared evaluation axis."""
-    refs = references_from_exact(exact_solve(13))
+    refs = EnergyReferences.from_levels(exact_solve(13).level_energies)
     pce = PceConfig(seed=0, iters_per_restart=40, restart_cap=2)
     mt = MemeticConfig(seed=0, eval_budget=300000)
     warm = WarmStartConfig(pce_runs=3, population_copies=6)
@@ -257,7 +256,7 @@ def test_warm_start_chains_counters():
 
 
 def test_warm_start_deterministic():
-    refs = references_from_exact(exact_solve(11))
+    refs = EnergyReferences.from_levels(exact_solve(11).level_energies)
     pce = PceConfig(seed=3, iters_per_restart=30, restart_cap=2)
     mt = MemeticConfig(seed=3, eval_budget=100000)
     warm = WarmStartConfig(pce_runs=2, population_copies=4)
@@ -269,7 +268,7 @@ def test_warm_start_deterministic():
 def test_warm_start_short_circuits_in_pce_phase():
     # a generous variational budget at N = 7 hits the optimum before the
     # memetic phase ever starts; counters must reflect the early exit
-    refs = references_from_exact(exact_solve(7))
+    refs = EnergyReferences.from_levels(exact_solve(7).level_energies)
     pce = PceConfig(seed=1, iters_per_restart=100, restart_cap=30)
     mt = MemeticConfig(seed=1, eval_budget=10**6)
     result = pce_warm_start(7, pce, mt, refs, WarmStartConfig(pce_runs=20, population_copies=5))

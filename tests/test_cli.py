@@ -121,6 +121,21 @@ def test_pauli_gen_subcommand():
     assert doc["mode"] == "anticommuting"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pauli-gen", "--qubits", "13", "--count", "5"],
+        ["solve-pce", "--n", "7", "--qubits", "13"],
+    ],
+    ids=" ".join,
+)
+def test_qubit_count_above_the_maximum_exits_2(argv, capsys):
+    rc, out = run_cli(argv)
+    assert rc == 2
+    assert out == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_shot_bound_subcommand():
     doc = run_json(
         ["shot-bound", "--n", "1", "--alpha", "1", "--beta", "1",
@@ -214,6 +229,24 @@ def test_bench_env_overrides(tmp_path, monkeypatch):
     assert (outdir / "r.jsonl").exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_bench_fewer_than_one_worker_exits_2(source, tmp_path, capsys, monkeypatch):
+    config = tmp_path / "campaign.json"
+    config.write_text(json.dumps({
+        "solver": "tabu", "sizes": [5], "runs_per_size": 1, "base_seed": 0,
+    }))
+    out = tmp_path / "r.jsonl"
+    argv = ["bench", "--config", str(config), "--out", str(out)]
+    if source == "flag":
+        argv += ["--workers", "0"]
+    rc, stdout = run_cli(argv, env={"PCELABS_WORKERS": "0"} if source == "env" else None,
+                         monkeypatch=monkeypatch)
+    assert rc == 2
+    assert stdout == ""
+    assert "must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_records_without_timing_by_default(tmp_path):
     config = tmp_path / "campaign.json"
     config.write_text(json.dumps({
@@ -238,6 +271,7 @@ BAD_CAMPAIGNS = {
     "misspelt-top-level-key": {"base_sed": 3},
     "per-size-for-a-size-not-run": {"sizes": [5], "per_size": {"7": {"budget": 5}}},
     "another-solvers-settings": {"solver": "pce", "tabu": {"budget": 5}, "memetic": {"x": 1}},
+    "pce-qubits-above-the-maximum": {"solver": "pce", "pce": {"n_qubits": 13}},
 }
 
 

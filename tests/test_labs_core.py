@@ -74,14 +74,14 @@ def test_flip_delta_matches_recomputation(x, data):
     ws = FlipWorkspace(x)
     flipped = x.copy()
     flipped[i] = -flipped[i]
-    assert flip_delta(ws.sequence, ws.autocorr, i) == sidelobe_energy(flipped) - sidelobe_energy(x)
+    assert flip_delta(ws.sequence, ws._c, i) == sidelobe_energy(flipped) - sidelobe_energy(x)
 
 
 @given(spins(max_size=16))
 def test_propose_all_matches_single_proposals(x):
     ws = FlipWorkspace(x)
     np.testing.assert_array_equal(
-        ws.propose_all(), [flip_delta(ws.sequence, ws.autocorr, i) for i in range(x.size)]
+        ws.propose_all(), [flip_delta(ws.sequence, ws._c, i) for i in range(x.size)]
     )
 
 
@@ -91,7 +91,7 @@ def test_commit_keeps_energy_consistent(x, moves):
     for raw in moves:
         i = raw % x.size
         before = ws.energy
-        delta = flip_delta(ws.sequence, ws.autocorr, i)
+        delta = flip_delta(ws.sequence, ws._c, i)
         ws.commit(i)
         assert ws.energy == before + delta
         assert ws.energy == sidelobe_energy(ws.sequence)
@@ -113,7 +113,7 @@ def test_workspace_matches_brute_force_along_commits(x, moves):
             flipped[i] = -flipped[i]
             assert ws.commit(i) == sidelobe_energy(flipped)
         current = ws.sequence
-        np.testing.assert_array_equal(ws.autocorr, autocorrelations(current))
+        np.testing.assert_array_equal(ws._c, autocorrelations(current))
         brute = []
         for i in range(x.size):
             flipped = current.copy()

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gate_helpers import parameter_shift_gradient, relaxed_loss
 from pcelabs import _kernels, pce_solver, state_sim
 from pcelabs.labs_core import sidelobe_energy
 from pcelabs.pauli_algebra import PauliString, sample_anticommuting_set, sample_commuting_set
@@ -16,11 +17,8 @@ from pcelabs.pce_solver import (
     LossContext,
     PceConfig,
     EvalCounter,
-    SolveResult,
     decode,
-    parameter_shift_gradient,
     relax,
-    relaxed_loss,
     relaxed_loss_gradient,
     solve,
 )
@@ -528,13 +526,6 @@ def test_solve_is_deterministic():
     assert a.to_dict() == b.to_dict()
 
 
-def test_solve_result_round_trip():
-    config = PceConfig(seed=12, restart_cap=5, iters_per_restart=50)
-    result = solve(7, config, EnergyReferences(exact=3))
-    again = SolveResult.from_dict(result.to_dict())
-    assert again.to_dict() == result.to_dict()
-
-
 def test_restart_budget_and_eval_accounting():
     iters = 30
     config = PceConfig(seed=9, iters_per_restart=iters, restart_cap=3)
@@ -547,6 +538,8 @@ def test_restart_budget_and_eval_accounting():
 def test_config_validation():
     with pytest.raises(ValueError):
         PceConfig(n_qubits=1)
+    with pytest.raises(ValueError):
+        PceConfig(n_qubits=13)
     with pytest.raises(ValueError):
         PceConfig(optimizer="newton")
     with pytest.raises(ValueError):

@@ -6,15 +6,7 @@ from scipy.linalg import expm
 
 from gate_helpers import apply_ms, apply_rotation, sampled_expectation
 from pcelabs.pauli_algebra import PauliString
-from pcelabs.state_sim import (
-    AnsatzSpec,
-    expectation,
-    expectations_batch,
-    pauli_tables,
-    run_ansatz,
-    run_ansatz_batch,
-    zero_state,
-)
+from pcelabs.state_sim import AnsatzSpec, expectations_batch, pauli_tables, run_ansatz_batch
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -96,7 +88,7 @@ def test_ansatz_against_dense_reference(rng):
     """Whole-circuit check: gate-by-gate dense linear algebra."""
     spec = AnsatzSpec(3, 2)
     theta = rng.uniform(-np.pi, np.pi, spec.param_count)
-    psi = zero_state(3)
+    psi = np.eye(8, dtype=complex)[0]  # |000>
     k = 0
     for layer in range(2):
         for axis in ("x", "y"):
@@ -107,7 +99,7 @@ def test_ansatz_against_dense_reference(rng):
             psi = apply_ms(psi, a, b, theta[k])
             k += 1
     assert k == spec.param_count
-    np.testing.assert_allclose(run_ansatz(spec, theta), psi, atol=1e-12)
+    np.testing.assert_allclose(run_ansatz_batch(spec, theta)[0], psi, atol=1e-12)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -115,7 +107,7 @@ def test_ansatz_against_dense_reference(rng):
 def test_ansatz_preserves_norm(seed):
     spec = AnsatzSpec(4, 3)
     theta = np.random.default_rng(seed).uniform(-np.pi, np.pi, spec.param_count)
-    psi = run_ansatz(spec, theta)
+    psi = run_ansatz_batch(spec, theta)[0]
     assert abs(np.vdot(psi, psi).real - 1.0) < 1e-12
 
 
@@ -124,7 +116,7 @@ def test_run_ansatz_batch_matches_loop(rng):
     thetas = rng.uniform(-np.pi, np.pi, (5, spec.param_count))
     batch = run_ansatz_batch(spec, thetas)
     for b in range(5):
-        np.testing.assert_allclose(batch[b], run_ansatz(spec, thetas[b]), atol=1e-12)
+        np.testing.assert_allclose(batch[b], run_ansatz_batch(spec, thetas[b])[0], atol=1e-12)
 
 
 @pytest.mark.parametrize("label", ["ZII", "IXI", "YYZ", "XYZ", "IIY"])
@@ -132,7 +124,7 @@ def test_expectation_matches_dense_quadratic_form(label, rng):
     psi = random_state(rng, 3)
     p = PauliString.from_label(label)
     want = np.vdot(psi, dense_pauli(label) @ psi).real
-    assert expectation(psi, p) == pytest.approx(want, abs=1e-12)
+    assert expectations_batch(psi, [p])[0, 0] == pytest.approx(want, abs=1e-12)
 
 
 def test_expectations_batch_matches_loop(rng):
@@ -142,7 +134,8 @@ def test_expectations_batch_matches_loop(rng):
     assert batch.shape == (4, 3)
     for b in range(4):
         for i, p in enumerate(paulis):
-            assert batch[b, i] == pytest.approx(expectation(states[b], p), abs=1e-12)
+            want = expectations_batch(states[b], [p])[0, 0]
+            assert batch[b, i] == pytest.approx(want, abs=1e-12)
 
 
 def test_expectations_batch_takes_one_pauli_list_per_row(rng):
@@ -158,7 +151,7 @@ def test_expectations_batch_takes_one_pauli_list_per_row(rng):
 
 def test_sampled_expectation_on_eigenstate(rng):
     # |000> is a Z eigenstate: finite shots still give exactly +1
-    psi = zero_state(3)
+    psi = np.eye(8, dtype=complex)[0]
     p = PauliString.from_label("ZZI")
     assert sampled_expectation(psi, p, 64, rng) == 1.0
 
@@ -166,14 +159,14 @@ def test_sampled_expectation_on_eigenstate(rng):
 def test_sampled_expectation_converges(rng):
     psi = random_state(rng, 3)
     p = PauliString.from_label("XYZ")
-    exact = expectation(psi, p)
+    exact = expectations_batch(psi, [p])[0, 0]
     est = np.mean([sampled_expectation(psi, p, 4096, rng) for _ in range(32)])
     assert abs(est - exact) < 4 / np.sqrt(4096 * 32)
 
 
 def test_sampled_expectation_deterministic_per_seed():
     spec = AnsatzSpec(3, 1)
-    psi = run_ansatz(spec, np.linspace(-1, 1, spec.param_count))
+    psi = run_ansatz_batch(spec, np.linspace(-1, 1, spec.param_count))[0]
     p = PauliString.from_label("XZY")
     a = sampled_expectation(psi, p, 100, np.random.default_rng(9))
     b = sampled_expectation(psi, p, 100, np.random.default_rng(9))
