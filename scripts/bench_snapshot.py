@@ -199,7 +199,7 @@ def environment() -> dict:
     from pcelabs import pce_solver
 
     return {
-        "engine": pce_solver.resolve_engine("auto"),
+        "engine": pce_solver.resolve_engine(),
         "numba": importlib.util.find_spec("numba") is not None,
         "python": platform.python_version(),
         "numpy": np.__version__,

@@ -20,13 +20,8 @@ try:
 except ImportError:  # pragma: no cover
     HAVE_NUMBA = False
 
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+    def njit(**kwargs):
+        return lambda fn: fn
 
 
 @njit(cache=True)

@@ -23,6 +23,7 @@ from pcelabs.labs_core import (
     FlipWorkspace,
     as_spin_array,
     canonicalize,
+    format_sequence,
     sidelobe_energy,
 )
 from pcelabs.pce_solver import (
@@ -64,8 +65,6 @@ class ExactResult:
     canonical_optima: list[np.ndarray]
 
     def to_dict(self) -> dict:
-        from pcelabs.labs_core import format_sequence
-
         return {
             "n": self.n,
             "optimal_energy": self.optimal_energy,

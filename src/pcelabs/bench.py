@@ -19,7 +19,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
 from typing import Iterable, Sequence
@@ -217,7 +217,7 @@ class CampaignConfig:
 
 def _pce_echo(settings: PceConfig) -> dict:
     """PCE settings as a record echoes them, naming the engine that ran."""
-    return {**asdict(settings), "engine": pce_solver.resolve_engine(settings.engine)}
+    return {**asdict(settings), "engine": pce_solver.resolve_engine()}
 
 
 def _run_one(config: CampaignConfig, n: int, run_index: int) -> RunRecord:
@@ -257,10 +257,7 @@ def run_campaign(
     Results come back ordered by (N, run_index) regardless of worker
     scheduling; per-run seeds depend only on (base_seed, N, run_index).
     """
-    resolved = {n: config.levels_for(n) for n in config.sizes}
-    doc = config.to_dict()
-    doc["references"] = {str(n): levels for n, levels in resolved.items()}
-    config = CampaignConfig.from_dict(doc)
+    config = replace(config, references={n: config.levels_for(n) for n in config.sizes})
     jobs = [(n, r) for n in config.sizes for r in range(config.runs_per_size)]
     records: list[RunRecord] = []
     if workers > 1:

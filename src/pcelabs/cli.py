@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from pcelabs import bench, labs_core, pce_solver
@@ -120,7 +119,6 @@ _PCE_FLAGS = {
     "iters": "iters_per_restart",
     "restarts": "restart_cap",
     "shots": "shots",
-    "engine": "engine",
 }
 
 
@@ -140,7 +138,6 @@ def _add_pce_flags(parser) -> None:
     parser.add_argument("--iters", type=int, default=None)
     parser.add_argument("--restarts", type=int, default=None)
     parser.add_argument("--shots", type=int, default=None)
-    parser.add_argument("--engine", choices=["auto", "numba", "numpy"], default=None)
 
 
 def cmd_solve_pce(args) -> int:

@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from pcelabs import _kernels, state_sim
-from pcelabs.labs_core import canonicalize, sidelobe_energy
+from pcelabs.labs_core import canonicalize, format_sequence, sidelobe_energy
 from pcelabs.pauli_algebra import (
     MAX_QUBITS,
     PauliString,
@@ -112,7 +112,6 @@ class PceConfig:
     shots: int = 0
     seed: int = 0
     count_gradient_evals: bool = False
-    engine: str = "auto"
 
     def __post_init__(self):
         if not 2 <= self.n_qubits <= MAX_QUBITS:
@@ -123,8 +122,6 @@ class PceConfig:
             raise ValueError(f"unknown pauli_mode {self.pauli_mode!r}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.engine not in ("auto", "numba", "numpy"):
-            raise ValueError(f"unknown engine {self.engine!r}")
         if self.resolved_alpha() <= 1.0:
             raise ValueError("alpha must exceed 1 so decoding can saturate")
         if self.shots < 0:
@@ -163,8 +160,6 @@ class SolveResult:
     evals_to_second: int | None = None
 
     def to_dict(self) -> dict:
-        from pcelabs.labs_core import format_sequence
-
         return {
             "solver": self.solver,
             "n": self.n,
@@ -180,14 +175,9 @@ class SolveResult:
         }
 
 
-def resolve_engine(engine: str) -> str:
-    """The engine that runs for a requested one: ``"auto"`` picks numba
-    when it is importable and numpy otherwise."""
-    if engine == "auto":
-        return "numba" if _kernels.HAVE_NUMBA else "numpy"
-    if engine == "numba" and not _kernels.HAVE_NUMBA:
-        raise RuntimeError("numba engine requested but numba is unavailable")
-    return engine
+def resolve_engine() -> str:
+    """The engine that runs: numba when it imports, numpy otherwise."""
+    return "numba" if _kernels.HAVE_NUMBA else "numpy"
 
 
 class LossContext:
@@ -209,7 +199,6 @@ class LossContext:
         beta: float,
         shots: int = 0,
         rng: np.random.Generator | None = None,
-        engine: str = "auto",
     ):
         self.spec = spec
         self.paulis = list(paulis)
@@ -219,7 +208,7 @@ class LossContext:
         self.rng = rng if rng is not None else np.random.default_rng()
         self.program = spec.gate_program()
         self.tables = state_sim.pauli_tables(self.paulis, 1 << spec.n)
-        self.engine = resolve_engine(engine)
+        self.engine = resolve_engine()
         self._work = None  # adjoint work array, kept from step to step
 
     def _row_tables(self, rows: int):
@@ -535,9 +524,7 @@ def _descend(N: int, config: PceConfig, counter: EvalCounter) -> int:
     iters = config.iters_per_restart
     gradient_cost = 2 * spec.param_count if config.count_gradient_evals else 0
     budget = counter.budget
-    lockstep = (
-        config.shots == 0 and budget is None and resolve_engine(config.engine) == "numpy"
-    )
+    lockstep = config.shots == 0 and budget is None and resolve_engine() == "numpy"
     most = min(LOCKSTEP_ROWS, max(1, LOCKSTEP_AMPLITUDES >> spec.n)) if lockstep else 1
     restarts_used = 0
     rows = 1
@@ -555,7 +542,6 @@ def _descend(N: int, config: PceConfig, counter: EvalCounter) -> int:
             beta=config.beta,
             shots=config.shots,
             rng=rng,
-            engine=config.engine,
         )
         thetas = np.array(thetas)
         optimizer = _make_optimizer(config, thetas.shape)

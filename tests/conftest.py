@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from pcelabs import _kernels
+
 settings.register_profile(
     "default",
     deadline=None,
@@ -13,6 +15,19 @@ settings.load_profile("default")
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def use_engine(monkeypatch):
+    """``use_engine("numba")`` or ``use_engine("numpy")``: contexts and
+    solves made afterwards run on that engine.  The engine is numba
+    exactly when numba imports, so this sets whether it did; where numba
+    is missing the numba engine runs its kernels un-jitted."""
+
+    def use(engine: str) -> None:
+        monkeypatch.setattr(_kernels, "HAVE_NUMBA", engine == "numba")
+
+    return use
 
 
 @pytest.fixture

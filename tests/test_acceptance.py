@@ -149,14 +149,15 @@ def test_criterion_04_simulator_against_dense_references():
     report("PASS criterion 4: simulator matches dense references at 1e-9")
 
 
-def test_criterion_05_parameter_shift_vs_finite_differences():
+def test_criterion_05_parameter_shift_vs_finite_differences(use_engine):
     """Analytic loss gradient vs central finite differences at 1e-5:
     n = 3, 4 layers, N = 10, alpha = 4.5, beta = 15, 20 random draws."""
+    use_engine("numpy")
     spec = AnsatzSpec(3, 4)
     for trial in range(20):
         rng = np.random.default_rng(500 + trial)
         paulis = list(sample_anticommuting_set(3, 10, rng))
-        ctx = LossContext(spec, paulis, alpha=4.5, beta=15.0, rng=rng, engine="numpy")
+        ctx = LossContext(spec, paulis, alpha=4.5, beta=15.0, rng=rng)
         theta = rng.uniform(-np.pi, np.pi, spec.param_count)
         grad = parameter_shift_gradient(ctx, theta)
         eps = 1e-5

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath
@@ -125,7 +126,7 @@ def test_campaign_is_deterministic():
 
 def test_records_name_the_engine_that_ran():
     pce = {"restart_cap": 1, "iters_per_restart": 2}
-    ran = pce_solver.resolve_engine("auto")
+    ran = pce_solver.resolve_engine()
     (record,) = run_campaign(
         small_campaign(solver="pce", sizes=[5], runs_per_size=1, pce=pce, tabu={})
     )
@@ -162,9 +163,7 @@ def test_committed_tabu_records_replay():
     config = CampaignConfig.from_dict(
         json.loads((REPO / "configs" / "reduced_tabu.json").read_text())
     )
-    doc = config.to_dict()
-    doc["references"] = {str(n): config.levels_for(n) for n in config.sizes}
-    config = CampaignConfig.from_dict(doc)
+    config = replace(config, references={n: config.levels_for(n) for n in config.sizes})
     lines = (REPO / "bench_out" / "reduced_tabu.jsonl").read_text().splitlines()
     for line in lines[::10]:
         record = json.loads(line)

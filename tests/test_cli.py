@@ -99,6 +99,22 @@ def test_warm_start_has_no_stagnation_flag():
 @pytest.mark.parametrize(
     "argv",
     [
+        ["solve-pce", "--engine", "numba", "--iters", "2", "--restarts", "1"],
+        ["warm-start", "--engine", "numpy", "--pce-runs", "1", "--copies", "2",
+         "--iters", "2", "--restarts", "1", "--budget", "500"],
+    ],
+    ids=" ".join,
+)
+def test_engine_flag_exits_2(argv):
+    """The engine is numba exactly when numba imports; no flag picks it."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--n", "7"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["solve-tabu", "--budget", "0"],
         ["solve-tabu", "--budget", "-5"],
         ["solve-tabu", "--stagnation", "0"],
@@ -272,6 +288,7 @@ BAD_CAMPAIGNS = {
     "per-size-for-a-size-not-run": {"sizes": [5], "per_size": {"7": {"budget": 5}}},
     "another-solvers-settings": {"solver": "pce", "tabu": {"budget": 5}, "memetic": {"x": 1}},
     "pce-qubits-above-the-maximum": {"solver": "pce", "pce": {"n_qubits": 13}},
+    "pce-engine-setting": {"solver": "pce", "pce": {"engine": "numpy"}},
 }
 
 

@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 import json
 from dataclasses import replace
@@ -34,11 +35,9 @@ SAMPLERS = {"anticommuting": sample_anticommuting_set, "commuting": sample_commu
 KERNEL_ATOL = 1e-10 if _kernels.HAVE_NUMBA else 0.0
 
 
-@pytest.fixture
-def numba_engine(monkeypatch):
-    """Lets engine="numba" run where numba is missing: the njit shim then
-    leaves the kernels un-jitted."""
-    monkeypatch.setattr(_kernels, "HAVE_NUMBA", True)
+def test_engine_is_numba_exactly_when_numba_imports():
+    installed = importlib.util.find_spec("numba") is not None
+    assert pce_solver.resolve_engine() == ("numba" if installed else "numpy")
 
 
 def make_context(
@@ -118,14 +117,16 @@ def test_kernel_turn_equals_state_sim_turn():
 
 
 @pytest.mark.parametrize("mode", ["anticommuting", "commuting"])
-def test_adjoint_gradient_equals_parameter_shift(mode, numba_engine):
+def test_adjoint_gradient_equals_parameter_shift(mode, use_engine):
     """The kernel's reverse-mode gradient must equal the numpy engine's and
     agree with the shift rule to numerical precision, on the paper's
     4-qubit, 15-layer ansatz."""
     for seed in range(5):
         kw = dict(n=4, layers=15, N=28, seed=seed, mode=mode)
-        ctx_fast = make_context(engine="numba", **kw)
-        ctx_ref = make_context(engine="numpy", **kw)
+        use_engine("numba")
+        ctx_fast = make_context(**kw)
+        use_engine("numpy")
+        ctx_ref = make_context(**kw)
         theta = np.random.default_rng(100 + seed).uniform(
             -np.pi, np.pi, ctx_fast.spec.param_count
         )
@@ -137,9 +138,10 @@ def test_adjoint_gradient_equals_parameter_shift(mode, numba_engine):
 
 
 @pytest.mark.parametrize("mode", ["anticommuting", "commuting"])
-def test_numpy_adjoint_gradient_equals_parameter_shift(mode):
+def test_numpy_adjoint_gradient_equals_parameter_shift(mode, use_engine):
+    use_engine("numpy")
     for seed in range(5):
-        ctx = make_context(seed=seed, mode=mode, engine="numpy")
+        ctx = make_context(seed=seed, mode=mode)
         theta = np.random.default_rng(100 + seed).uniform(
             -np.pi, np.pi, ctx.spec.param_count
         )
@@ -148,11 +150,12 @@ def test_numpy_adjoint_gradient_equals_parameter_shift(mode):
         )
 
 
-def test_step_matches_separate_value_and_gradient():
+def test_step_matches_separate_value_and_gradient(use_engine):
     """A step's sampled expectations do not depend on whether it takes the
     gradient, and its gradient is the one a separate sweep computes."""
-    stepped = make_context(seed=4, shots=16, engine="numpy")
-    separate = make_context(seed=4, shots=16, engine="numpy")
+    use_engine("numpy")
+    stepped = make_context(seed=4, shots=16)
+    separate = make_context(seed=4, shots=16)
     thetas = np.random.default_rng(6).uniform(-np.pi, np.pi, (3, stepped.spec.param_count))
     e, grad = stepped.step(thetas)
     want_e, no_grad = separate.step(thetas, gradient=False)
@@ -162,7 +165,8 @@ def test_step_matches_separate_value_and_gradient():
     np.testing.assert_array_equal(grad, separate.gradient(thetas))
 
 
-def test_solve_evolves_one_row_per_counted_eval(monkeypatch):
+def test_solve_evolves_one_row_per_counted_eval(monkeypatch, use_engine):
+    use_engine("numpy")
     rows = []
     evolve = state_sim.run_ansatz_batch
 
@@ -172,7 +176,7 @@ def test_solve_evolves_one_row_per_counted_eval(monkeypatch):
         return states
 
     monkeypatch.setattr(state_sim, "run_ansatz_batch", counted)
-    config = PceConfig(seed=3, restart_cap=2, iters_per_restart=6, engine="numpy")
+    config = PceConfig(seed=3, restart_cap=2, iters_per_restart=6)
     result = solve(13, config)
     assert result.total_evals == 14
     assert sum(rows) == result.total_evals
@@ -192,11 +196,12 @@ def one_restart_at_a_time(N, config, references=None):
 BATCH_STARTS = {0, 2, 6, 14, 30, 62}
 
 
-def test_lockstep_matches_one_restart_at_a_time():
+def test_lockstep_matches_one_restart_at_a_time(use_engine):
     """Restarts in lockstep give the record of the same loop run one restart
     at a time: over restart caps that cross the batch boundaries at 2, 6,
     14 and 30, and with reference levels that fire inside a batch, so the
     evaluation counters, the restart count and the total are all checked."""
+    use_engine("numpy")
     inside = []
 
     @given(
@@ -219,7 +224,6 @@ def test_lockstep_matches_one_restart_at_a_time():
             restart_cap=restart_cap,
             seed=seed,
             count_gradient_evals=count_gradient_evals,
-            engine="numpy",
         )
         references = None
         if gaps is not None:
@@ -236,10 +240,11 @@ def test_lockstep_matches_one_restart_at_a_time():
     assert inside, "no exact hit landed inside a batch"
 
 
-def test_lockstep_batches_shrink_with_the_state():
+def test_lockstep_batches_shrink_with_the_state(use_engine):
     """Rows x 2^n stays within LOCKSTEP_AMPLITUDES, in the evolution and in
     the adjoint sweep's work array: at 8 qubits batches stop at 8 rows, and
     past 10 qubits restarts run one at a time."""
+    use_engine("numpy")
     evolved, worked = [], []
     evolve, adjoint = state_sim.run_ansatz_batch, pce_solver._adjoint_gradient
 
@@ -254,7 +259,7 @@ def test_lockstep_batches_shrink_with_the_state():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(state_sim, "run_ansatz_batch", counted)
         patch.setattr(pce_solver, "_adjoint_gradient", recorded)
-        config = PceConfig(n_qubits=8, layers=1, iters_per_restart=1, restart_cap=40, engine="numpy")
+        config = PceConfig(n_qubits=8, layers=1, iters_per_restart=1, restart_cap=40)
         solve(13, config)
         assert evolved == [r for r in (2, 4, 8, 8, 8, 8, 2) for _ in range(2)]
         gates = config.ansatz().param_count
@@ -264,9 +269,10 @@ def test_lockstep_batches_shrink_with_the_state():
         assert evolved == [1] * 6
 
 
-def test_numba_engine_runs_one_restart_per_batch(numba_engine):
+def test_numba_engine_runs_one_restart_per_batch(use_engine):
     """The numba kernels loop over rows, so lockstep would share nothing:
     on that engine every batch holds one restart."""
+    use_engine("numba")
     rows = []
     evolve = _kernels.evolve_batch
 
@@ -276,7 +282,7 @@ def test_numba_engine_runs_one_restart_per_batch(numba_engine):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_kernels, "evolve_batch", counted)
-        config = PceConfig(n_qubits=3, layers=2, iters_per_restart=2, restart_cap=5, engine="numba")
+        config = PceConfig(n_qubits=3, layers=2, iters_per_restart=2, restart_cap=5)
         result = solve(11, config)
     assert rows == [1] * result.total_evals == [1] * 15
 
@@ -294,7 +300,7 @@ def test_exact_hit_inside_a_batch_ends_the_run_there(seed):
 
 
 @pytest.mark.parametrize("mode", ["anticommuting", "commuting"])
-def test_context_rows_match_single_set_contexts(mode, numba_engine):
+def test_context_rows_match_single_set_contexts(mode, use_engine):
     """A context with one Pauli set per row gives each row the bits a
     one-set context gives it alone, on both engines: expectations and
     gradients, on the paper's ansatz."""
@@ -303,8 +309,9 @@ def test_context_rows_match_single_set_contexts(mode, numba_engine):
     sets = [list(SAMPLERS[mode](4, 28, rng)) for _ in range(5)]
     thetas = rng.uniform(-np.pi, np.pi, (5, config.ansatz().param_count))
     for engine in ("numpy", "numba"):
-        rows = LossContext(config.ansatz(), sets, 6.0, 15.0, engine=engine)
-        alone = [LossContext(config.ansatz(), paulis, 6.0, 15.0, engine=engine) for paulis in sets]
+        use_engine(engine)
+        rows = LossContext(config.ansatz(), sets, 6.0, 15.0)
+        alone = [LossContext(config.ansatz(), paulis, 6.0, 15.0) for paulis in sets]
         np.testing.assert_array_equal(
             rows.exact_expectations(thetas),
             [ctx.exact_expectations(t)[0] for ctx, t in zip(alone, thetas)],
@@ -314,14 +321,13 @@ def test_context_rows_match_single_set_contexts(mode, numba_engine):
         )
 
 
-def golden_config(case, engine):
+def golden_config(case):
     return PceConfig(
         pauli_mode=case["mode"],
         shots=case["shots"],
         seed=case["seed"],
         restart_cap=2,
         iters_per_restart=9,
-        engine=engine,
     )
 
 
@@ -330,8 +336,9 @@ def golden_id(case):
 
 
 @pytest.mark.parametrize("case", GOLDEN["solve"], ids=golden_id)
-def test_solve_matches_golden_records(case):
-    assert solve(case["N"], golden_config(case, "numpy")).to_dict() == case["result"]
+def test_solve_matches_golden_records(case, use_engine):
+    use_engine("numpy")
+    assert solve(case["N"], golden_config(case)).to_dict() == case["result"]
 
 
 @pytest.mark.parametrize(
@@ -347,15 +354,18 @@ def test_solve_with_references_matches_golden_records(case):
 
 
 @pytest.mark.parametrize("case", GOLDEN["solve"], ids=golden_id)
-def test_numba_engine_matches_golden_records(case, numba_engine):
-    assert solve(case["N"], golden_config(case, "numba")).to_dict() == case["result"]
+def test_numba_engine_matches_golden_records(case, use_engine):
+    use_engine("numba")
+    assert solve(case["N"], golden_config(case)).to_dict() == case["result"]
 
 
 @pytest.mark.parametrize("mode", ["anticommuting", "commuting"])
-def test_engines_agree_on_expectations(mode, numba_engine):
+def test_engines_agree_on_expectations(mode, use_engine):
     kw = dict(n=4, layers=15, N=28, seed=7, mode=mode)
-    ctx_fast = make_context(engine="numba", **kw)
-    ctx_ref = make_context(engine="numpy", **kw)
+    use_engine("numba")
+    ctx_fast = make_context(**kw)
+    use_engine("numpy")
+    ctx_ref = make_context(**kw)
     thetas = np.random.default_rng(11).uniform(-np.pi, np.pi, (4, ctx_fast.spec.param_count))
     np.testing.assert_allclose(
         ctx_fast.exact_expectations(thetas),
@@ -375,18 +385,18 @@ def test_gradient_ignores_shot_noise():
 
 @pytest.mark.parametrize("engine", ["numpy", "numba"])
 @pytest.mark.parametrize("count_gradient_evals", [False, True])
-def test_solve_bills_gradients_only_when_asked(engine, count_gradient_evals, numba_engine):
+def test_solve_bills_gradients_only_when_asked(engine, count_gradient_evals, use_engine):
     """A step costs each restart 1 evaluation, plus 2P when it takes a
     gradient and gradients are billed; the last step of a restart takes
     none.  On numpy the 5 restarts run in lockstep batches of 2 and 3, on
     numba one at a time."""
+    use_engine(engine)
     config = PceConfig(
         n_qubits=3,
         layers=2,
         iters_per_restart=3,
         restart_cap=5,
         count_gradient_evals=count_gradient_evals,
-        engine=engine,
     )
     p = config.ansatz().param_count
     result = solve(11, config)
