@@ -1,5 +1,6 @@
 """Write a committed benchmark snapshot: every perfbench workload end to
-end, and a lockstep PCE campaign slice.
+end, a lockstep PCE campaign slice, and timed runs of the reduced PCE and
+tabu campaigns.
 
 Run from the root of a checkout:
 
@@ -21,8 +22,16 @@ checkout and, with ``--parent``, alternating with the other one.  For
 each run it reports the wall time, the record (which must match), the
 restart that hit and where it sat in its lockstep batch, and the rows
 evolved: those past ``total_evals`` are the discarded rest of a batch.
+
+The tabu campaign part does the same for ``configs/reduced_tabu.json``:
+the first ``TABU_CAMPAIGN_RUNS[N]`` runs at N = 20 and 28, with reference
+levels, on this checkout and, with ``--parent``, alternating with the
+other one, each run's record required to match.  It reports the wall
+time of every run and the evaluations per second of each size.
+
 The environment block names the resolved engine, numba availability,
-versions, CPU count and host.
+versions, CPU count and host.  The exit code is 1 if any record differs
+between runs or checkouts.
 """
 
 from __future__ import annotations
@@ -42,6 +51,8 @@ WORKLOADS = ("pce", "tabu", "memetic", "exact")
 SLICE = {"N": 20, "restart_cap": 32, "iters_per_restart": 200, "seed": 0}
 CAMPAIGN = ROOT / "configs" / "reduced_pce.json"
 CAMPAIGN_RUNS = {13: 20, 20: 6}
+TABU_CAMPAIGN = ROOT / "configs" / "reduced_tabu.json"
+TABU_CAMPAIGN_RUNS = {20: 20, 28: 10}
 
 # One slice run: prints its wall time and record as one JSON line.
 SLICE_RUN = """
@@ -84,6 +95,18 @@ print(json.dumps({
 }))
 """
 
+# One tabu campaign run: prints its wall time and record.
+TABU_CAMPAIGN_RUN = """
+import json, sys, time
+from pcelabs import bench
+doc, n, index = json.loads(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])
+config = bench.CampaignConfig.from_dict({**doc, "timing": False})
+started = time.perf_counter()
+record = bench._run_one(config, n, index)
+wall = time.perf_counter() - started
+print(json.dumps({"wall_s": wall, "record": record.to_dict()}))
+"""
+
 
 def single_thread_env(src: Path) -> dict:
     env = dict(os.environ)
@@ -118,9 +141,8 @@ def run_slice(src: Path, rows: int) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def run_campaign_job(src: Path, n: int, index: int) -> dict:
-    doc = CAMPAIGN.read_text()
-    cmd = [sys.executable, "-c", CAMPAIGN_RUN, doc, str(n), str(index)]
+def run_campaign_job(script: str, config: Path, src: Path, n: int, index: int) -> dict:
+    cmd = [sys.executable, "-c", script, config.read_text(), str(n), str(index)]
     proc = subprocess.run(cmd, env=single_thread_env(src), capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -150,7 +172,10 @@ def campaign(variants: dict) -> dict:
         for index in range(count):
             order = list(variants) if step % 2 == 0 else list(reversed(variants))
             step += 1
-            done = {name: run_campaign_job(variants[name], n, index) for name in order}
+            done = {
+                name: run_campaign_job(CAMPAIGN_RUN, CAMPAIGN, variants[name], n, index)
+                for name in order
+            }
             record = done["lockstep"]["record"]
             restarts = done["lockstep"]["restarts_used"]
             size, position = batch_of(restarts - 1, most)
@@ -178,17 +203,64 @@ def campaign(variants: dict) -> dict:
             "rows_discarded_share": sum(run["rows_discarded"] for run in runs) / evolved,
             "records_identical": all(run["records_identical"] for run in runs),
         }
-        for name in variants:
-            summary[f"{name}_total_wall_s"] = sum(run[f"{name}_wall_s"] for run in runs)
-        if "parent" in variants:
-            ratios = [run["parent_wall_s"] / run["lockstep_wall_s"] for run in runs]
-            summary["speedup_over_parent_total"] = (
-                summary["parent_total_wall_s"] / summary["lockstep_total_wall_s"]
-            )
-            summary["speedup_over_parent_median_run"] = statistics.median(ratios)
-            summary["runs_faster_than_parent"] = sum(r > 1 for r in ratios)
+        summary.update(wall_summary(runs, variants, "lockstep"))
         out[f"N{n}"] = summary
     return out
+
+
+def tabu_campaign(variants: dict) -> dict:
+    """Alternating timed runs of the reduced tabu campaign; see the module
+    docstring."""
+    out = {"config": str(TABU_CAMPAIGN.relative_to(ROOT)), "runs": []}
+    step = 0
+    for n, count in TABU_CAMPAIGN_RUNS.items():
+        for index in range(count):
+            order = list(variants) if step % 2 == 0 else list(reversed(variants))
+            step += 1
+            done = {
+                name: run_campaign_job(TABU_CAMPAIGN_RUN, TABU_CAMPAIGN, variants[name], n, index)
+                for name in order
+            }
+            record = done["checkout"]["record"]
+            row = {
+                "N": n,
+                "run_index": index,
+                "total_evals": record["total_evals"],
+                "hit": record["tts"] is not None,
+                "records_identical": all(d["record"] == record for d in done.values()),
+            }
+            row.update({f"{name}_wall_s": d["wall_s"] for name, d in done.items()})
+            out["runs"].append(row)
+            print(f"tabu campaign N={n} run {index}: {row}", file=sys.stderr)
+    for n in TABU_CAMPAIGN_RUNS:
+        runs = [run for run in out["runs"] if run["N"] == n]
+        evals = sum(run["total_evals"] for run in runs)
+        summary = {
+            "runs": len(runs),
+            "total_evals": evals,
+            "records_identical": all(run["records_identical"] for run in runs),
+        }
+        summary.update(wall_summary(runs, variants, "checkout"))
+        for name in variants:
+            summary[f"{name}_evals_per_s"] = evals / summary[f"{name}_total_wall_s"]
+        out[f"N{n}"] = summary
+    return out
+
+
+def wall_summary(runs: list[dict], variants: dict, this: str) -> dict:
+    """Total wall time per variant and, with a parent, this checkout's
+    speed-up over it in total, in the median run and run by run."""
+    summary = {
+        f"{name}_total_wall_s": sum(run[f"{name}_wall_s"] for run in runs) for name in variants
+    }
+    if "parent" in variants:
+        ratios = [run["parent_wall_s"] / run[f"{this}_wall_s"] for run in runs]
+        summary["speedup_over_parent_total"] = (
+            summary["parent_total_wall_s"] / summary[f"{this}_total_wall_s"]
+        )
+        summary["speedup_over_parent_median_run"] = statistics.median(ratios)
+        summary["runs_faster_than_parent"] = sum(r > 1 for r in ratios)
+    return summary
 
 
 def environment() -> dict:
@@ -248,9 +320,15 @@ def main(argv=None) -> int:
     if args.parent is not None:
         campaign_variants["parent"] = args.parent.resolve()
     doc["campaign"] = campaign(campaign_variants)
+    tabu_variants = {"checkout": ROOT / "src"}
+    if args.parent is not None:
+        tabu_variants["parent"] = args.parent.resolve()
+    doc["tabu_campaign"] = tabu_campaign(tabu_variants)
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    identical = doc["slice"]["records_identical"] and all(
-        doc["campaign"][f"N{n}"]["records_identical"] for n in CAMPAIGN_RUNS
+    identical = (
+        doc["slice"]["records_identical"]
+        and all(doc["campaign"][f"N{n}"]["records_identical"] for n in CAMPAIGN_RUNS)
+        and all(doc["tabu_campaign"][f"N{n}"]["records_identical"] for n in TABU_CAMPAIGN_RUNS)
     )
     return 0 if identical else 1
 

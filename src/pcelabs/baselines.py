@@ -50,7 +50,7 @@ EXACT_LIMIT = 32
 # at N = 24 and 28 on one BLAS thread: 11 to 13 tie, and 10, 14 and 16 are
 # 5-30% slower.
 EXACT_BLOCK_BITS = 12
-_NO_MOVE = np.iinfo(np.int64).max  # masks tabu flips out of the argmin
+_NO_MOVE = np.inf  # masks tabu flips out of the argmin
 
 
 @dataclass
@@ -217,23 +217,33 @@ def _tabu_core(
         energies = ws.energy + deltas
         start = counter.evals
         count = min(n, counter.budget - start)
-        # The start of the run has been observed, so there is a limit.  It
-        # only falls while the probes are observed, so every probe that can
-        # fire is among these; each is checked again in index order.
-        for i in (energies[:count] <= counter.limit()).nonzero()[0].tolist():
-            energy = int(energies[i])
-            if counter.interested(energy):
-                seq = ws.sequence
-                seq[i] = -seq[i]
-                if counter.observe(seq, energy, start + i + 1):
-                    counter.evals = start + i + 1
-                    return
+        best_idx = int(deltas.argmin())
+        # The start of the run has been observed, so there is a limit.  When
+        # even the best flip lands above it, no probe can fire and no flip
+        # improves the best, so aspiration is off too, and the best flip is
+        # the move unless it is tabu (argmin breaks ties toward the lowest
+        # index, as the masked argmin below does).
+        limit = counter.limit()
+        quiet = energies[best_idx] > limit
+        if not quiet:
+            # The limit only falls while the probes are observed, so every
+            # probe that can fire is among these; each is checked again in
+            # index order.
+            for i in (energies[:count] <= limit).nonzero()[0].tolist():
+                energy = int(energies[i])
+                if counter.interested(energy):
+                    seq = ws.sequence
+                    seq[i] = -seq[i]
+                    if counter.observe(seq, energy, start + i + 1):
+                        counter.evals = start + i + 1
+                        return
         counter.evals = start + count
         if count < n:
             return
-        # tenure_max < N: at least one flip is free of tabu.
-        allowed = (tabu_until <= move) | (energies < counter.best_energy)
-        best_idx = int(np.where(allowed, deltas, _NO_MOVE).argmin())
+        if not quiet or tabu_until[best_idx] > move:
+            # tenure_max < N: at least one flip is free of tabu.
+            allowed = (tabu_until <= move) | (energies < counter.best_energy)
+            best_idx = int(np.where(allowed, deltas, _NO_MOVE).argmin())
         previous_best = counter.best_energy
         ws.commit(best_idx)
         tabu_until[best_idx] = move + int(rng.integers(tenure[0], tenure[1] + 1))

@@ -184,13 +184,6 @@ class CampaignConfig:
             except TypeError as exc:
                 raise ValueError(f"{self.solver} settings for N = {n}: {exc}") from None
 
-    def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["sizes"] = list(self.sizes)
-        doc["per_size"] = {str(k): v for k, v in self.per_size.items()}
-        doc["references"] = {str(k): v for k, v in self.references.items()}
-        return doc
-
     @classmethod
     def from_dict(cls, doc: dict) -> "CampaignConfig":
         try:

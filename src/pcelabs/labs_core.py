@@ -5,14 +5,18 @@ A sequence x lives in {-1, +1}^N.  Its aperiodic autocorrelations are
     C_l(x) = sum_{i=1}^{N-l} x_i x_{i+l},        1 <= l <= N - 1,
 
 the sidelobe energy is E(x) = sum_l C_l(x)^2, and the merit factor is
-F(x) = N^2 / (2 E(x)).  Everything in this module is integer-exact; floats
-appear only in the merit factor.
+F(x) = N^2 / (2 E(x)).  Everything in this module is integer-exact.  The
+merit factor is a float, and ``FlipWorkspace`` keeps small integers in
+float64 arrays so that a sweep of flips is one BLAS product: every entry
+and every partial sum there is an integer far below 2^53, where float64
+arithmetic is exact.
 
 Sequences are numpy int arrays.  Indices into a sequence are 0-based.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable
 
 import numpy as np
@@ -124,44 +128,71 @@ def energy_report(x: np.ndarray) -> dict:
     }
 
 
-def _padded(x: np.ndarray) -> np.ndarray:
-    """``x`` in the middle of a zero buffer of length 3N - 2.
+@functools.lru_cache(maxsize=None)
+def _flip_plan(n: int) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
+    """Index arrays shared by every ``FlipWorkspace`` of length ``n``.
 
-    Out-of-range neighbours then read as 0, so the terms of a flip are
-    plain slices (``_padded_terms``).
+    ``plus[r, l - 1]`` and ``minus[r, l - 1]`` index x_{r+l} and x_{r-l}
+    in the workspace buffer, an out-of-range neighbour its final 0.
+    ``commit[i]`` is ``(dst, src, up, down)`` for flipping x_i: entry
+    ``dst[k]`` of the workspace buffer gains ``up[k]`` (x_i = +1) or
+    ``down[k]`` (x_i = -1) times entry ``src[k]``, all read before the
+    flip (see ``FlipWorkspace.commit``).
     """
-    n = x.size
-    xp = np.zeros(3 * n - 2, dtype=np.int64)
-    xp[n - 1 : 2 * n - 1] = x
-    return xp
-
-
-def _padded_terms(xp: np.ndarray, i: int) -> np.ndarray:
-    """Per-lag change terms d_l for flipping position ``i`` (0-based).
-
-    d_l collects the autocorrelation terms that contain x_i:
-    d_l = x_i * (x_{i+l} + x_{i-l}) with out-of-range neighbours dropped,
-    so that flipping x_i maps C_l to C_l - 2 d_l.  ``xp`` is ``_padded(x)``.
-    """
-    n = (xp.size + 2) // 3
-    return xp[n - 1 + i] * (xp[n + i : 2 * n - 1 + i] + xp[i : n - 1 + i][::-1])
+    at_c, at_x = n * n, n * n + n
+    rows = np.arange(n)[:, None]
+    lags = np.arange(1, n)
+    plus = at_x + np.minimum(rows + lags, n)  # at_x + n is the final 0
+    minus = at_x + np.where(rows >= lags, rows - lags, n)
+    commit = []
+    for i in range(n):
+        row = i * n + lags - 1
+        others = np.delete(np.arange(n), i)
+        mirrored = others[(2 * others - i >= 0) & (2 * others - i < n)]
+        # Segments: C from row i, row i itself, the lag |r - i| entry of every
+        # other row, the squared sums with a mirror position, and x_i.
+        lag_entries = others * n + np.abs(others - i) - 1
+        dst = np.concatenate((at_c + lags - 1, row, lag_entries, mirrored * n + n - 1, [at_x + i]))
+        src = np.concatenate((row, row, at_x + others, at_x + 2 * mirrored - i, [at_x + i]))
+        up = np.repeat([0.5, -2.0, 8.0, -16.0, -2.0], [n - 1, n - 1, n - 1, mirrored.size, 1])
+        down = up.copy()
+        down[2 * n - 2 : -1] *= -1  # the two middle segments carry a factor x_i
+        commit.append((dst, src, up, down))
+    return plus, minus, commit
 
 
 class FlipWorkspace:
     """Incremental single-flip evaluation of the sidelobe energy.
 
-    Keeps the sequence, its autocorrelations, and its energy in sync so a
-    flip can be committed in O(N).  ``propose_all`` scores every position
-    in one O(N^2) pass of length-N convolutions, which is what a tabu
-    sweep wants.
+    With d_l(i) = x_i (x_{i+l} + x_{i-l}), out-of-range neighbours dropped,
+    flipping x_i maps C_l to C_l - 2 d_l(i), so it changes the energy by
+    4 sum_l d_l(i) (d_l(i) - C_l).  The workspace keeps that as a product:
+    row i of the (N, N) flip matrix holds -4 d_l(i) for l = 1 .. N - 1
+    and 4 sum_l d_l(i)^2 last, and the vector beside it holds
+    (C_1 .. C_{N-1}, 1).  ``propose_all`` is then one matrix-vector
+    product.  The matrix, the vector and the spins share one float64
+    buffer, and ``commit`` moves the O(N) entries that contain the
+    flipped spin in one scatter, so a tabu move costs a constant number
+    of numpy calls.
     """
 
     def __init__(self, x: np.ndarray):
         x = as_spin_array(x)
-        self._xp = _padded(x)
-        self._x = self._xp[x.size - 1 : 2 * x.size - 1]  # a view: flips write through
-        self._c = autocorrelations(x)
-        self._energy = int(np.dot(self._c, self._c))
+        n = x.size
+        plus, minus, self._plan = _flip_plan(n)
+        self._buf = np.empty(n * n + 2 * n + 1)  # flip matrix | C_1 .. C_{N-1}, 1 | x | 0
+        self._m = self._buf[: n * n].reshape(n, n)
+        self._v = self._buf[n * n : n * n + n]
+        self._c = self._v[:-1]
+        self._x = self._buf[n * n + n : -1]
+        self._x[:] = x
+        self._buf[-1] = 0
+        self._v[-1] = 1
+        self._c[:] = np.correlate(x, x, "full")[n:]  # autocorrelations(x); x is checked
+        pair = self._buf[plus] + self._buf[minus]  # d_l(r) = x_r pair[r, l - 1]
+        np.multiply(pair, -4 * self._x[:, None], out=self._m[:, :-1])
+        self._m[:, -1] = 4 * np.einsum("ij,ij->i", pair, pair)
+        self._energy = int(self._c @ self._c)
 
     @property
     def n(self) -> int:
@@ -169,29 +200,35 @@ class FlipWorkspace:
 
     @property
     def sequence(self) -> np.ndarray:
-        return self._x.copy()
+        return self._x.astype(np.int64)
 
     @property
     def energy(self) -> int:
         return self._energy
 
     def propose_all(self) -> np.ndarray:
-        """Energy change for every single flip, as an int64 array of length N.
+        """Energy change for every single flip, as a float64 array of length N.
 
-        Summed over lags, d_l^2 gives N - 2 + (x * x)_{2i} and d_l C_l gives
-        x_i (x * k)_i, where * is convolution and k = [C_{N-1} .. C_1, 0,
-        C_1 .. C_{N-1}] is the symmetric autocorrelation kernel.
+        Every entry is an integer: the flip matrix holds integers of
+        magnitude at most 16N and the vector at most N, so every partial
+        sum of the product is an integer below 16 N^2 in magnitude, and
+        the product is exact whatever order BLAS sums in.
         """
-        x, c = self._x, self._c
-        kernel = np.concatenate((c[::-1], [0], c))
-        squares = np.convolve(x, x)[::2]
-        return 4 * (squares + (x.size - 2) - x * np.convolve(x, kernel, "valid"))
+        return self._m @ self._v
 
     def commit(self, i: int) -> int:
-        """Flip ``x[i]``, update the caches, and return the new energy."""
-        self._c -= 2 * _padded_terms(self._xp, i)
-        self._x[i] = -self._x[i]
-        self._energy = int(np.dot(self._c, self._c))
+        """Flip ``x[i]``, update the caches, and return the new energy.
+
+        Half of row i's lag entries turns C_l into C_l - 2 d_l(i), and
+        flipping x_i negates those entries.  In another row r only the lag
+        l = |r - i| contains x_i: -4 d_l(r) moves by 8 x_r x_i, and
+        4 d_l(r)^2 by -16 x_i x_s when the mirror position s = 2r - i is in
+        range (x_i is the old spin).  All of it, and the flip itself, is
+        one gather and one scatter over the buffer.
+        """
+        dst, src, up, down = self._plan[i]
+        self._buf[dst] += (up if self._x[i] > 0 else down) * self._buf[src]
+        self._energy = int(self._c @ self._c)
         return self._energy
 
 

@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tabu_oracle
+from pcelabs import baselines
 from pcelabs.baselines import (
     EXACT_LIMIT,
     MemeticConfig,
@@ -145,6 +147,33 @@ def test_memetic_matches_golden_records(case):
     config = MemeticConfig(eval_budget=case["budget"], seed=case["seed"])
     result = memetic_tabu(case["N"], population, config, golden_references(case))
     assert result.to_dict() == case["result"]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 13, 20, 28, 45])
+def test_tabu_and_memetic_match_the_convolution_oracle(n, monkeypatch):
+    """The flip-matrix workspace and the gated move loop give the records
+    of the convolution workspace and the probe-everything loop
+    (``tests/tabu_oracle.py``).  Budget 17 cuts a move short, and
+    references make probes fire in the middle of a move."""
+    references = [None]
+    if n <= 20:
+        references.append(EnergyReferences.from_levels(exact_solve(n).level_energies))
+    cases = list(itertools.product(range(3), (17, 500, 20_000), references))
+
+    def records():
+        out = []
+        for seed, budget, refs in cases:
+            tabu = tabu_search(n, TabuConfig(eval_budget=budget, seed=seed), refs)
+            population = list(np.random.default_rng([seed, n]).choice([-1, 1], (6, n)))
+            config = MemeticConfig(eval_budget=budget, seed=seed)
+            memetic = memetic_tabu(n, population, config, refs)
+            out.append((tabu.to_dict(), memetic.to_dict()))
+        return out
+
+    ours = records()
+    monkeypatch.setattr(baselines, "FlipWorkspace", tabu_oracle.FlipWorkspace)
+    monkeypatch.setattr(baselines, "_tabu_core", tabu_oracle._tabu_core)
+    assert ours == records()
 
 
 @pytest.mark.parametrize(

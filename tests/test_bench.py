@@ -177,10 +177,21 @@ def test_campaign_solver_validation():
 
 
 def test_campaign_config_round_trip():
-    config = small_campaign(per_size={"7": {"eval_budget": 5000}})
-    again = CampaignConfig.from_dict(config.to_dict())
-    assert again.to_dict() == config.to_dict()
-    assert again.per_size[7] == {"eval_budget": 5000}
+    """A config file's document loads with its JSON string keys as ints."""
+    doc = json.loads(
+        """{
+            "solver": "tabu", "sizes": [5, 6, 7], "runs_per_size": 2, "base_seed": 3,
+            "tabu": {"eval_budget": 100000},
+            "per_size": {"7": {"eval_budget": 5000}},
+            "references": {"5": [2, 6, 10]}
+        }"""
+    )
+    config = CampaignConfig.from_dict(doc)
+    assert config.sizes == (5, 6, 7)
+    assert config.per_size == {7: {"eval_budget": 5000}}
+    assert config.references == {5: [2, 6, 10]}
+    assert config.solver_settings(7, 0).eval_budget == 5000
+    assert config.solver_settings(6, 0).eval_budget == 100000
 
 
 def test_fit_recovers_noiseless_scaling_exactly():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pcelabs.labs_core import (
@@ -86,7 +86,13 @@ def test_propose_all_matches_single_proposals(x):
 
 
 @given(spins(max_size=16), st.lists(st.integers(0, 1000), min_size=1, max_size=30))
+@example(np.array([1, -1, 1]), [0, 2, 2, 1, 0])
+@example(np.array([1, 1, -1, 1]), [3, 0, 1, 3, 2, 0])
+@example(BARKER_13, [0, 12, 6, 12, 0])
 def test_commit_keeps_energy_consistent(x, moves):
+    """Every commit leaves the flip matrix, C and the energy as a fresh
+    workspace of the new sequence has them; the end positions, whose
+    flips reach every lag, are flipped in the examples."""
     ws = FlipWorkspace(x)
     for raw in moves:
         i = raw % x.size
@@ -95,6 +101,10 @@ def test_commit_keeps_energy_consistent(x, moves):
         ws.commit(i)
         assert ws.energy == before + delta
         assert ws.energy == sidelobe_energy(ws.sequence)
+        fresh = FlipWorkspace(ws.sequence)
+        np.testing.assert_array_equal(ws._m, fresh._m)
+        np.testing.assert_array_equal(ws._c, fresh._c)
+        assert ws.energy == fresh.energy
     np.testing.assert_array_equal(
         autocorrelations(ws.sequence), naive_autocorrelations(ws.sequence)
     )
