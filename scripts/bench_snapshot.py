@@ -22,6 +22,8 @@ checkout and, with ``--parent``, alternating with the other one.  For
 each run it reports the wall time, the record (which must match), the
 restart that hit and where it sat in its lockstep batch, and the rows
 evolved: those past ``total_evals`` are the discarded rest of a batch.
+Rows and batches are counted at ``LossContext.step``, which both engines
+call once per step, so the counts hold on either engine.
 
 The tabu campaign part does the same for ``configs/reduced_tabu.json``:
 the first ``TABU_CAMPAIGN_RUNS[N]`` runs at N = 20 and 28, with reference
@@ -70,28 +72,33 @@ wall = time.perf_counter() - started
 print(json.dumps({"wall_s": wall, "record": result.to_dict()}))
 """
 
-# One campaign run: prints its wall time, record and evolved rows.
+# One campaign run: prints its wall time, record and the rows it evolved.
+# A batch takes iters_per_restart + 1 steps, each with one angle row per
+# restart, so every (iters_per_restart + 1)-th count is a batch size.
 CAMPAIGN_RUN = """
 import json, sys, time
-from pcelabs import bench, pce_solver, state_sim
+from pcelabs import bench, pce_solver
 doc, n, index = json.loads(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])
-evolve, solve, rows, results = state_sim.run_ansatz_batch, pce_solver.solve, [], []
-def counted(spec, thetas):
+step, solve, rows, results = pce_solver.LossContext.step, pce_solver.solve, [], []
+def counted(ctx, thetas, gradient=True):
     rows.append(len(thetas))
-    return evolve(spec, thetas)
+    return step(ctx, thetas, gradient)
 def kept(*args):
     results.append(solve(*args))
     return results[-1]
-state_sim.run_ansatz_batch, pce_solver.solve = counted, kept
+pce_solver.LossContext.step, pce_solver.solve = counted, kept
 config = bench.CampaignConfig.from_dict({**doc, "timing": False})
 started = time.perf_counter()
 record = bench._run_one(config, n, index)
 wall = time.perf_counter() - started
+iters = config.solver_settings(n, record.seed).iters_per_restart
 print(json.dumps({
     "wall_s": wall,
     "record": record.to_dict(),
     "restarts_used": results[0].restarts_used,
     "rows_evolved": sum(rows),
+    "rows_discarded": sum(rows) - record.total_evals,
+    "batch_sizes": rows[:: iters + 1],
 }))
 """
 
@@ -147,28 +154,12 @@ def run_campaign_job(script: str, config: Path, src: Path, n: int, index: int) -
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def batch_of(restart: int, most: int) -> tuple[int, int]:
-    """(size, 0-based position) of the lockstep batch holding the 0-based
-    ``restart``, for batches of 2, 4, ..., ``most``."""
-    start, size = 0, 1
-    while True:
-        size = min(2 * size, most)
-        if restart < start + size:
-            return size, restart - start
-        start += size
-
-
 def campaign(variants: dict) -> dict:
     """Alternating timed runs of the reduced PCE campaign; see the module
     docstring."""
-    from pcelabs import pce_solver
-
-    config = json.loads(CAMPAIGN.read_text())
     out = {"config": str(CAMPAIGN.relative_to(ROOT)), "runs": []}
     step = 0
     for n, count in CAMPAIGN_RUNS.items():
-        settings = pce_solver.PceConfig(**{**config["pce"], **config["per_size"].get(str(n), {})})
-        most = min(pce_solver.LOCKSTEP_ROWS, max(1, pce_solver.LOCKSTEP_AMPLITUDES >> settings.n_qubits))
         for index in range(count):
             order = list(variants) if step % 2 == 0 else list(reversed(variants))
             step += 1
@@ -176,19 +167,21 @@ def campaign(variants: dict) -> dict:
                 name: run_campaign_job(CAMPAIGN_RUN, CAMPAIGN, variants[name], n, index)
                 for name in order
             }
-            record = done["lockstep"]["record"]
-            restarts = done["lockstep"]["restarts_used"]
-            size, position = batch_of(restarts - 1, most)
+            run = done["lockstep"]
+            record = run["record"]
+            # The run ends in its last batch, at the restart that hit or at
+            # the restart cap.
+            sizes = run["batch_sizes"]
             row = {
                 "N": n,
                 "run_index": index,
                 "total_evals": record["total_evals"],
-                "restarts_used": restarts,
+                "restarts_used": run["restarts_used"],
                 "hit": record["tts"] is not None,
-                "batch_size": size,
-                "position_in_batch": position,
-                "rows_evolved": done["lockstep"]["rows_evolved"],
-                "rows_discarded": done["lockstep"]["rows_evolved"] - record["total_evals"],
+                "batch_size": sizes[-1],
+                "position_in_batch": run["restarts_used"] - 1 - sum(sizes[:-1]),
+                "rows_evolved": run["rows_evolved"],
+                "rows_discarded": run["rows_discarded"],
                 "records_identical": all(d["record"] == record for d in done.values()),
             }
             row.update({f"{name}_wall_s": d["wall_s"] for name, d in done.items()})

@@ -1,7 +1,9 @@
-"""Jitted hot loops for the variational solver.
+"""Jitted hot loops for the variational solver: the numba engine.
 
-Numba compilations of the statevector evolution, Pauli expectation, and
-reverse-mode (adjoint) gradient sweep.  They read the same
+Numba compilations of the three whole-batch operations that ``state_sim``
+gives the numpy engine: the statevector evolution, the Pauli
+expectations and the reverse-mode (adjoint) gradient sweep, each over B
+rows with the row loop inside the kernel.  They read the same
 ``state_sim.PauliTables`` as the numpy engine, for the gates and the
 measured strings alike, and apply every gate through one loop,
 ``_turn``, which computes ``state_sim.turn`` element by element in the
@@ -44,8 +46,8 @@ def _turn(psi, perm, coeff, cos_half, sin_half):
 
 @njit(cache=True)
 def evolve_batch(perms, coeffs, thetas):
-    """Evolve |0..0> through the gate tables for each row of angles; gate
-    g turns by thetas[b, g]."""
+    """(B, 2^n) states: |0..0> evolved through the gate tables for each row
+    of (B, G) angles; gate g turns by thetas[b, g]."""
     out = np.zeros((thetas.shape[0], perms.shape[1]), dtype=np.complex128)
     for b in range(thetas.shape[0]):
         psi = out[b]
@@ -58,48 +60,51 @@ def evolve_batch(perms, coeffs, thetas):
 
 @njit(cache=True)
 def pauli_expectations(states, perms, coeffs):
-    """Real expectation of each tabulated Pauli for each state row.
+    """(B, N) real expectations of each row's Paulis in its (B, 2^n) state.
 
-    perms[i, c] and coeffs[i, c] encode (P_i psi)[c] = coeffs * psi[perm];
-    only the real part of the quadratic form is accumulated, which equals
+    The (B, N, 2^n) tables encode (P_bi psi_b)[c] = coeffs[b, i, c]
+    psi_b[perms[b, i, c]]; a list shared by every row is a broadcast view.
+    Only the real part of the quadratic form is accumulated, which equals
     the full Hermitian expectation.
     """
-    batch, dim = states.shape
-    count = perms.shape[0]
+    batch, count, dim = perms.shape
     out = np.empty((batch, count), dtype=np.float64)
     for b in range(batch):
         psi = states[b]
         for i in range(count):
             acc = 0.0
             for c in range(dim):
-                term = np.conj(psi[c]) * coeffs[i, c] * psi[perms[i, c]]
+                term = np.conj(psi[c]) * coeffs[b, i, c] * psi[perms[b, i, c]]
                 acc += term.real
             out[b, i] = acc
     return out
 
 
 @njit(cache=True)
-def adjoint_gradient(perms, coeffs, theta, psi, lam):
-    """d<psi(theta)|A|psi(theta)>/dtheta by one reverse sweep.
+def adjoint_gradient(perms, coeffs, thetas, psis, lams):
+    """(B, G) gradients d<psi_b|A_b|psi_b>/dtheta_b by one reverse sweep
+    per row of (B, G) angles.
 
-    psi is the circuit output for theta and lam = A psi for a Hermitian A;
-    neither input is modified.  Walking back from the last gate, gate g
-    with U_g = exp(-i t G_g / 2) contributes Im<lam|G_g|psi> read with
-    both vectors just past it, and is then un-applied from both.
+    psis[b] is the circuit output for thetas[b] and lams[b] = A_b psis[b]
+    for a Hermitian A_b; neither (B, 2^n) input is modified.  Walking back
+    from the last gate, gate g with U_g = exp(-i t G_g / 2) contributes
+    Im<lam|G_g|psi> read with both vectors just past it, and is then
+    un-applied from both.
     """
-    psi = psi.copy()
-    lam = lam.copy()
-    grad = np.zeros(theta.size, dtype=np.float64)
-    for g in range(perms.shape[0] - 1, -1, -1):
-        perm = perms[g]
-        coeff = coeffs[g]
-        acc = 0.0 + 0.0j
-        for c in range(psi.size):
-            acc += np.conj(lam[c]) * (coeff[c] * psi[perm[c]])
-        grad[g] = acc.imag
-        half = theta[g] / 2.0
-        cos_half = np.cos(half)
-        sin_half = -np.sin(half)
-        _turn(psi, perm, coeff, cos_half, sin_half)
-        _turn(lam, perm, coeff, cos_half, sin_half)
+    grad = np.zeros(thetas.shape, dtype=np.float64)
+    for b in range(thetas.shape[0]):
+        psi = psis[b].copy()
+        lam = lams[b].copy()
+        for g in range(perms.shape[0] - 1, -1, -1):
+            perm = perms[g]
+            coeff = coeffs[g]
+            acc = 0.0 + 0.0j
+            for c in range(psi.size):
+                acc += np.conj(lam[c]) * (coeff[c] * psi[perm[c]])
+            grad[b, g] = acc.imag
+            half = thetas[b, g] / 2.0
+            cos_half = np.cos(half)
+            sin_half = -np.sin(half)
+            _turn(psi, perm, coeff, cos_half, sin_half)
+            _turn(lam, perm, coeff, cos_half, sin_half)
     return grad

@@ -308,6 +308,8 @@ class MemeticConfig:
         _require_at_least(
             1, self, "eval_budget", "tournament_size", "local_moves", "local_stagnation"
         )
+        if self.mutation_rate is not None and not 0.0 <= self.mutation_rate <= 1.0:
+            raise ValueError(f"mutation_rate must be in [0, 1], got {self.mutation_rate}")
 
     def resolved_tenure(self, N: int) -> tuple[int, int]:
         return TabuConfig(self.tenure_min, self.tenure_max).resolved_tenure(N)

@@ -108,6 +108,8 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunRecord":
+        if not isinstance(doc, dict):
+            raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
         doc = {k: v for k, v in doc.items() if k != "schema_version"}
         return cls(**doc)
 
@@ -180,8 +182,10 @@ class CampaignConfig:
         # Bad settings for any size fail here, before a run starts.
         for n in self.sizes:
             try:
-                self.solver_settings(n, self.base_seed)
-            except TypeError as exc:
+                settings = self.solver_settings(n, self.base_seed)
+                if self.solver != "pce":
+                    (settings if self.solver == "tabu" else settings[1]).resolved_tenure(n)
+            except (TypeError, ValueError) as exc:
                 raise ValueError(f"{self.solver} settings for N = {n}: {exc}") from None
 
     @classmethod
@@ -277,10 +281,12 @@ def write_records(records: Iterable[RunRecord], path) -> None:
 def read_records(path) -> list[RunRecord]:
     records = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(RunRecord.from_dict(json.loads(line)))
+        for number, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    records.append(RunRecord.from_dict(json.loads(line)))
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"{path} line {number}: not a run record: {exc}") from None
     return records
 
 

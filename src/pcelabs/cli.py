@@ -239,6 +239,8 @@ def cmd_tune(args) -> int:
         raise ValueError(f"{args.samples}: expected a JSON object of samples")
     samples = {}
     for key, values in raw.items():
+        if not isinstance(values, list):
+            raise ValueError(f"{args.samples}: the sample of {key!r} is not a JSON array")
         try:
             setting = int(key)
         except ValueError:
@@ -260,8 +262,8 @@ def cmd_shot_bound(args) -> int:
 def _load_fit_constants(path: str) -> dict:
     with open(path) as fh:
         doc = json.load(fh)
-    if "b" not in doc or "c" not in doc:
-        raise ValueError(f"{path}: fit document needs 'b' and 'c'")
+    if not isinstance(doc, dict) or not all(isinstance(doc.get(k), (int, float)) for k in "bc"):
+        raise ValueError(f"{path}: fit document needs numbers 'b' and 'c'")
     return doc
 
 

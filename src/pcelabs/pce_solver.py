@@ -15,7 +15,6 @@ what the time-to-solution counters measure.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -124,6 +123,8 @@ class PceConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.resolved_alpha() <= 1.0:
             raise ValueError("alpha must exceed 1 so decoding can saturate")
+        if not self.step_size > 0:
+            raise ValueError(f"step_size must be > 0, got {self.step_size}")
         if self.shots < 0:
             raise ValueError("shots must be >= 0 (0 means exact expectations)")
         if self.iters_per_restart < 0:
@@ -185,6 +186,9 @@ class LossContext:
     the forward pass, shot sampling and the adjoint sweep, on either
     engine.  It counts nothing; the restart loop bills its steps.
 
+    Either engine evolves, measures and sweeps all rows in one call each;
+    the context adds only the loss and its seeds.
+
     ``paulis`` is one Pauli list shared by every angle row, or a list of
     B Pauli lists, one per row of a (B, P) angle matrix: B restarts run
     in lockstep.  Gradients are always computed from exact expectations;
@@ -211,21 +215,13 @@ class LossContext:
         self.engine = resolve_engine()
         self._work = None  # adjoint work array, kept from step to step
 
-    def _row_tables(self, rows: int):
-        """The (perms, coeffs) Pauli tables of each of ``rows`` angle rows."""
-        perms, coeffs = self.tables
-        if perms.ndim == 2:
-            return itertools.repeat((perms, coeffs), rows)
-        return zip(perms, coeffs)
-
     def _forward(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(B, 2^n) states and (B, N) exact expectations for (B, P) angles."""
         if self.engine == "numba":
-            prog = self.program
-            states = _kernels.evolve_batch(prog.perms, prog.coeffs, thetas)
-            tables = self._row_tables(len(states))
-            expect = [_kernels.pauli_expectations(psi[None], *t) for psi, t in zip(states, tables)]
-            return states, np.concatenate(expect)
+            states = _kernels.evolve_batch(*self.program, thetas)
+            shape = (len(states), *self.tables.perms.shape[-2:])
+            perms, coeffs = (np.broadcast_to(t, shape) for t in self.tables)
+            return states, _kernels.pauli_expectations(states, perms, coeffs)
         states = state_sim.run_ansatz_batch(self.spec, thetas)
         return states, state_sim.expectations_batch(states, self.tables)
 
@@ -263,76 +259,24 @@ class LossContext:
         (B, P) angles when the caller has already evolved them."""
         thetas = np.atleast_2d(np.asarray(theta, dtype=np.float64))
         states, exact = self._forward(thetas) if forward is None else forward
-        lams = np.empty_like(states)
-        for b, (perms, coeffs) in enumerate(self._row_tables(len(thetas))):
-            lams[b] = self._loss_weights(exact[b]) @ (coeffs * states[b][perms])
-        prog = self.program
-        tables = (prog.perms, prog.coeffs)
+        # lams[b] = sum_i w_bi P_bi psi_b, the loss seed of each row.
+        perms, coeffs = self.tables
+        weights = np.array([self._loss_weights(e) for e in exact])
+        rows = np.arange(len(states))[:, None, None]
+        lams = np.matmul(weights[:, None, :], coeffs * states[rows, perms])[:, 0]
         if self.engine == "numba":
-            grad = np.array(
-                [_kernels.adjoint_gradient(*tables, *row) for row in zip(thetas, states, lams)]
-            )
+            grad = _kernels.adjoint_gradient(*self.program, thetas, states, lams)
         else:
-            shape = (3 * len(prog.perms) + 2, len(thetas), states.shape[1])
+            shape = (3 * thetas.shape[1] + 2, *states.shape)
             if self._work is None or self._work.shape != shape:
                 self._work = np.empty(shape, dtype=np.complex128)
-            grad = _adjoint_gradient(*tables, thetas, states, lams, self._work)
+            grad = state_sim.adjoint_gradient(self.program, thetas, states, lams, self._work)
         return grad if np.ndim(theta) == 2 else grad[0]
 
     def _loss_weights(self, exact_e: np.ndarray) -> np.ndarray:
         x_tilde = relax(exact_e, self.alpha)
         gx = relaxed_loss_gradient(x_tilde, self.beta)
         return gx * self.alpha * (1.0 - x_tilde**2)
-
-
-def _adjoint_gradient(
-    perms: np.ndarray,
-    coeffs: np.ndarray,
-    thetas: np.ndarray,
-    psis: np.ndarray,
-    lams: np.ndarray,
-    work: np.ndarray,
-) -> np.ndarray:
-    """d<psi_b(theta_b)|A_b|psi_b(theta_b)>/dtheta_b by one reverse sweep
-    for every row b, numpy engine.
-
-    psis[b] is the circuit output for the angles thetas[b] and lams[b] =
-    A_b psis[b] for a Hermitian A_b (here sum_i w_i P_i).  All of them are
-    un-applied gate by gate as one (2, B, 2^n) array, each row at its own
-    angle; gate g, with U_g = exp(-i t G_g / 2), contributes
-    Im<lam|G_g|psi> read with both vectors just past it.  Per row it does
-    the table operations of ``_kernels.adjoint_gradient`` in the same
-    order.
-
-    ``work`` is a (3G + 2, B, 2^n) complex array for G gates, which the
-    sweep overwrites with its trail and gate weights: at B = 1 the memory
-    of a one-row sweep.  Passing the same one on every step keeps the
-    allocator from mapping and zero-filling these pages afresh each time:
-    at B = 16 that took about a fifth of a step on a 2-CPU host.
-    """
-    rows = len(thetas)
-    count = len(perms)
-    trail = work[: 2 * count + 2].reshape(count + 1, 2, rows, -1)
-    weights = work[2 * count + 2 :]
-    half = np.ascontiguousarray(thetas.T)[:, :, None] / 2.0
-    cos = np.cos(half)
-    np.multiply(-1j * np.sin(half), coeffs[:, None, :], out=weights)
-    trail[count] = psis, lams
-    sweep = trail
-    if rows == 1:
-        # The same memory in a one-row sweep's shapes: scalars and (2^n,)
-        # rows broadcast faster than (1, 1) and (1, 2^n) arrays.
-        sweep, weights, cos = trail[:, :, 0], weights[:, 0], cos[:, 0, 0]
-    for g in range(count - 1, -1, -1):
-        sweep[g] = sweep[g + 1]
-        state_sim.turn(sweep[g], perms[g], weights[g], cos[g])
-    past = trail[1:]
-    gates = np.arange(count)[:, None]
-    grad = np.zeros(thetas.shape)
-    for b in range(rows):
-        g_psi = coeffs * past[gates, 0, b, perms]
-        grad[b] = np.einsum("gc,gc->g", past[:, 1, b].conj(), g_psi).imag
-    return grad
 
 
 class _Adam:

@@ -1,4 +1,4 @@
-"""Dense statevector simulation of the brickwork ansatz.
+"""Dense statevector simulation of the brickwork ansatz: the numpy engine.
 
 Conventions, fixed once here and relied on everywhere:
 
@@ -35,6 +35,7 @@ __all__ = [
     "turn",
     "run_ansatz_batch",
     "expectations_batch",
+    "adjoint_gradient",
 ]
 
 
@@ -171,3 +172,42 @@ def expectations_batch(states: np.ndarray, paulis) -> np.ndarray:
     if np.any(np.abs(values.imag) >= 1e-9):
         raise AssertionError("expectation has imaginary part above 1e-9")
     return values.real.copy()
+
+
+def adjoint_gradient(program: PauliTables, thetas, psis, lams, work) -> np.ndarray:
+    """(B, P) gradients d<psi_b|A_b|psi_b>/dtheta_b by one reverse sweep
+    of every row of the (B, P) angles through the gate ``program``.
+
+    psis[b] is the circuit output at thetas[b] and lams[b] = A_b psis[b]
+    for a Hermitian A_b.  All rows are un-applied gate by gate as one (2,
+    B, 2^n) array, each at its own angle; gate g, with U_g = exp(-i t G_g
+    / 2), contributes Im<lam|G_g|psi> read with both vectors just past it.
+    Per row these are the table operations of ``_kernels.adjoint_gradient``
+    in the same order.
+
+    ``work`` is a (3P + 2, B, 2^n) complex scratch array for the trail and
+    the gate weights.  Reusing one from step to step spares mapping and
+    zero-filling its pages: about a fifth of a step at B = 16 (2 CPUs).
+    """
+    perms, coeffs = program
+    rows, count = len(thetas), len(perms)
+    trail = work[: 2 * count + 2].reshape(count + 1, 2, rows, -1)
+    weights = work[2 * count + 2 :]
+    half = np.ascontiguousarray(thetas.T)[:, :, None] / 2.0
+    cos = np.cos(half)
+    np.multiply(-1j * np.sin(half), coeffs[:, None, :], out=weights)
+    trail[count] = psis, lams
+    sweep = trail
+    if rows == 1:
+        # The same memory in a one-row sweep's shapes: scalars and (2^n,)
+        # rows broadcast faster than (1, 1) and (1, 2^n) arrays.
+        sweep, weights, cos = trail[:, :, 0], weights[:, 0], cos[:, 0, 0]
+    for g in range(count - 1, -1, -1):
+        sweep[g] = sweep[g + 1]
+        turn(sweep[g], perms[g], weights[g], cos[g])
+    past = trail[1:]
+    g_psi = np.take_along_axis(past[:, 0], perms[:, None, :], axis=2)
+    g_psi *= coeffs[:, None, :]
+    # Conjugated in place: a fresh (P, B, 2^n) copy costs page faults.
+    lam = np.conjugate(past[:, 1], out=past[:, 1])
+    return np.einsum("gbc,gbc->bg", lam, g_psi).imag

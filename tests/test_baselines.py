@@ -233,6 +233,12 @@ def test_warm_start_config_rejects_too_small_settings(field, value, least):
         WarmStartConfig(**{field: value})
 
 
+@pytest.mark.parametrize("rate", [-3.0, 1.5])
+def test_memetic_config_rejects_mutation_rate_outside_the_unit_interval(rate):
+    with pytest.raises(ValueError, match="mutation_rate must be in"):
+        MemeticConfig(mutation_rate=rate)
+
+
 def test_tabu_default_tenure_range():
     config = TabuConfig()
     lo, hi = config.resolved_tenure(20)

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -169,6 +170,27 @@ def test_committed_tabu_records_replay():
         record = json.loads(line)
         replayed = bench._run_one(config, record["n"], record["run_index"])
         assert replayed.to_dict() == record
+
+
+def test_bench_snapshot_campaign_runs_match_the_campaign():
+    """The snapshot's campaign jobs, run as it runs them, give the records of
+    ``bench._run_one``; the PCE job's row counts and lockstep batches fit
+    its record.  This also fails if a name the jobs patch is renamed."""
+    path = REPO / "scripts" / "bench_snapshot.py"
+    spec = importlib.util.spec_from_file_location("bench_snapshot", path)
+    snapshot = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(snapshot)
+    jobs = {
+        "pce": (snapshot.CAMPAIGN_RUN, snapshot.CAMPAIGN),
+        "tabu": (snapshot.TABU_CAMPAIGN_RUN, snapshot.TABU_CAMPAIGN),
+    }
+    for solver, (script, path) in jobs.items():
+        jobs[solver] = snapshot.run_campaign_job(script, path, REPO / "src", 13, 0)
+        config = CampaignConfig.from_dict(json.loads(path.read_text()))
+        assert config.solver == solver
+        assert jobs[solver]["record"] == bench._run_one(config, 13, 0).to_dict()
+    assert jobs["pce"]["rows_discarded"] >= 0
+    assert sum(jobs["pce"]["batch_sizes"]) >= jobs["pce"]["restarts_used"]
 
 
 def test_campaign_solver_validation():

@@ -289,6 +289,9 @@ BAD_CAMPAIGNS = {
     "another-solvers-settings": {"solver": "pce", "tabu": {"budget": 5}, "memetic": {"x": 1}},
     "pce-qubits-above-the-maximum": {"solver": "pce", "pce": {"n_qubits": 13}},
     "pce-engine-setting": {"solver": "pce", "pce": {"engine": "numpy"}},
+    "tenure-at-a-later-size": {"per_size": {"7": {"tenure_max": 7}}},
+    "memetic-mutation-rate-above-one": {"solver": "warm", "memetic": {"mutation_rate": 2.0}},
+    "pce-step-size-not-positive": {"solver": "pce", "pce": {"step_size": 0.0}},
 }
 
 
@@ -341,6 +344,36 @@ def test_invalid_input_exits_2():
     assert run_cli(["fit", "--records", "/does/not/exist.jsonl"])[0] == 2
     assert run_cli(["shot-bound", "--n", "0", "--alpha", "1", "--beta", "1",
                     "--eps", "0.5", "--delta", "0.5"])[0] == 2
+
+
+# Each command reads its document from one file, which holds this text.
+MALFORMED_DOCUMENTS = {
+    "fit-unknown-field": (["fit", "--records"], '{"foo": 1}\n'),
+    "fit-array-line": (["fit", "--records"], "[1, 2, 3]\n"),
+    "fit-missing-fields": (["fit", "--records"], '{"solver": "pce", "n": 13}\n'),
+    "ks-records-missing-fields": (
+        ["ks", "--b", "{sample}", "--a"], '{"solver": "pce", "n": 13}\n' * 2
+    ),
+    "tune-number-for-a-sample": (["tune", "--samples"], '{"1": 5, "2": [1.0, 2.0]}'),
+    "crossover-array-for-b": (
+        ["crossover", "--classical", "{fit}", "--quantum"], '{"b": [1], "c": 1.0}'
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(MALFORMED_DOCUMENTS))
+def test_malformed_document_exits_2(bad, tmp_path, capsys):
+    argv, text = MALFORMED_DOCUMENTS[bad]
+    sample, fit = tmp_path / "sample.json", tmp_path / "fit.json"
+    sample.write_text(json.dumps([1.0, 2.0, 3.0]))
+    fit.write_text(json.dumps({"b": 1.3, "c": 1.0}))
+    document = tmp_path / "document"
+    document.write_text(text)
+    argv = [arg.format(sample=sample, fit=fit) for arg in argv]
+    rc, stdout = run_cli([*argv, str(document)])
+    assert rc == 2
+    assert stdout == ""
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_unknown_subcommand_exits_2(capsys):

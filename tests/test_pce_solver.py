@@ -246,7 +246,7 @@ def test_lockstep_batches_shrink_with_the_state(use_engine):
     past 10 qubits restarts run one at a time."""
     use_engine("numpy")
     evolved, worked = [], []
-    evolve, adjoint = state_sim.run_ansatz_batch, pce_solver._adjoint_gradient
+    evolve, adjoint = state_sim.run_ansatz_batch, state_sim.adjoint_gradient
 
     def counted(spec, thetas):
         evolved.append(len(thetas))
@@ -258,7 +258,7 @@ def test_lockstep_batches_shrink_with_the_state(use_engine):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(state_sim, "run_ansatz_batch", counted)
-        patch.setattr(pce_solver, "_adjoint_gradient", recorded)
+        patch.setattr(state_sim, "adjoint_gradient", recorded)
         config = PceConfig(n_qubits=8, layers=1, iters_per_restart=1, restart_cap=40)
         solve(13, config)
         assert evolved == [r for r in (2, 4, 8, 8, 8, 8, 2) for _ in range(2)]
@@ -372,6 +372,10 @@ def test_engines_agree_on_expectations(mode, use_engine):
         ctx_ref.exact_expectations(thetas),
         rtol=0,
         atol=KERNEL_ATOL,
+    )
+    # The 4 rows share one Pauli list: the kernels read it as a broadcast view.
+    np.testing.assert_allclose(
+        ctx_fast.gradient(thetas), ctx_ref.gradient(thetas), rtol=0, atol=KERNEL_ATOL
     )
 
 
@@ -558,6 +562,8 @@ def test_config_validation():
         PceConfig(restart_cap=0)
     with pytest.raises(ValueError):
         PceConfig(iters_per_restart=-1)
+    with pytest.raises(ValueError):
+        PceConfig(step_size=-1.0)
 
 
 def test_alpha_defaults_to_scaled_qubit_count():
