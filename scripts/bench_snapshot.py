@@ -1,6 +1,6 @@
 """Write a committed benchmark snapshot: every perfbench workload end to
-end, a lockstep PCE campaign slice, and timed runs of the reduced PCE and
-tabu campaigns.
+end, a lockstep PCE campaign slice, timed runs of the reduced PCE and
+tabu campaigns, and timed exhaustive enumerations.
 
 Run from the root of a checkout:
 
@@ -31,9 +31,14 @@ levels, on this checkout and, with ``--parent``, alternating with the
 other one, each run's record required to match.  It reports the wall
 time of every run and the evaluations per second of each size.
 
+The exact part runs ``exact_solve(N)`` at each N in ``EXACT_SIZES``,
+``--repeats`` times per checkout, each in a fresh single-threaded process,
+alternating this checkout with ``--parent``.  Every run's
+``ExactResult.to_dict()`` must be the same.
+
 The environment block names the resolved engine, numba availability,
-versions, CPU count and host.  The exit code is 1 if any record differs
-between runs or checkouts.
+versions, CPU count and host.  The exit code is 1 if any record or exact
+result differs between runs or checkouts.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ CAMPAIGN = ROOT / "configs" / "reduced_pce.json"
 CAMPAIGN_RUNS = {13: 20, 20: 6}
 TABU_CAMPAIGN = ROOT / "configs" / "reduced_tabu.json"
 TABU_CAMPAIGN_RUNS = {20: 20, 28: 10}
+EXACT_SIZES = (24, 26, 28)
 
 # One slice run: prints its wall time and record as one JSON line.
 SLICE_RUN = """
@@ -114,6 +120,17 @@ wall = time.perf_counter() - started
 print(json.dumps({"wall_s": wall, "record": record.to_dict()}))
 """
 
+# One exhaustive enumeration: prints its wall time and result.
+EXACT_RUN = """
+import json, sys, time
+from pcelabs import baselines
+n = int(sys.argv[1])
+started = time.perf_counter()
+result = baselines.exact_solve(n)
+wall = time.perf_counter() - started
+print(json.dumps({"wall_s": wall, "result": result.to_dict()}))
+"""
+
 
 def single_thread_env(src: Path) -> dict:
     env = dict(os.environ)
@@ -142,16 +159,20 @@ def run_workload(workload: str, seed: int, seconds: float) -> dict:
     }
 
 
-def run_slice(src: Path, rows: int) -> dict:
-    cmd = [sys.executable, "-c", SLICE_RUN, json.dumps(SLICE), str(rows)]
+def run_job(script: str, src: Path, *args) -> dict:
+    """Run ``script`` on ``src`` in a fresh single-threaded process and
+    return the JSON line it prints last."""
+    cmd = [sys.executable, "-c", script, *map(str, args)]
     proc = subprocess.run(cmd, env=single_thread_env(src), capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def run_slice(src: Path, rows: int) -> dict:
+    return run_job(SLICE_RUN, src, json.dumps(SLICE), rows)
 
 
 def run_campaign_job(script: str, config: Path, src: Path, n: int, index: int) -> dict:
-    cmd = [sys.executable, "-c", script, config.read_text(), str(n), str(index)]
-    proc = subprocess.run(cmd, env=single_thread_env(src), capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return run_job(script, src, config.read_text(), n, index)
 
 
 def campaign(variants: dict) -> dict:
@@ -240,6 +261,37 @@ def tabu_campaign(variants: dict) -> dict:
     return out
 
 
+def exact(variants: dict, repeats: int) -> dict:
+    """Alternating timed runs of ``exact_solve``; see the module docstring."""
+    out = {"runs": []}
+    step = 0
+    for n in EXACT_SIZES:
+        for repeat in range(repeats):
+            order = list(variants) if step % 2 == 0 else list(reversed(variants))
+            step += 1
+            done = {name: run_job(EXACT_RUN, variants[name], n) for name in order}
+            result = done["checkout"]["result"]
+            row = {
+                "N": n,
+                "repeat": repeat,
+                "results_identical": all(d["result"] == result for d in done.values()),
+            }
+            row.update({f"{name}_wall_s": d["wall_s"] for name, d in done.items()})
+            out["runs"].append(row)
+            print(f"exact N={n} repeat {repeat}: {row}", file=sys.stderr)
+    for n in EXACT_SIZES:
+        runs = [run for run in out["runs"] if run["N"] == n]
+        summary = {
+            "runs": len(runs),
+            "results_identical": all(run["results_identical"] for run in runs),
+        }
+        for name in variants:
+            summary[f"{name}_median_wall_s"] = statistics.median(run[f"{name}_wall_s"] for run in runs)
+        summary.update(wall_summary(runs, variants, "checkout"))
+        out[f"N{n}"] = summary
+    return out
+
+
 def wall_summary(runs: list[dict], variants: dict, this: str) -> dict:
     """Total wall time per variant and, with a parent, this checkout's
     speed-up over it in total, in the median run and run by run."""
@@ -313,15 +365,17 @@ def main(argv=None) -> int:
     if args.parent is not None:
         campaign_variants["parent"] = args.parent.resolve()
     doc["campaign"] = campaign(campaign_variants)
-    tabu_variants = {"checkout": ROOT / "src"}
+    checkouts = {"checkout": ROOT / "src"}
     if args.parent is not None:
-        tabu_variants["parent"] = args.parent.resolve()
-    doc["tabu_campaign"] = tabu_campaign(tabu_variants)
+        checkouts["parent"] = args.parent.resolve()
+    doc["tabu_campaign"] = tabu_campaign(checkouts)
+    doc["exact"] = exact(checkouts, args.repeats)
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     identical = (
         doc["slice"]["records_identical"]
         and all(doc["campaign"][f"N{n}"]["records_identical"] for n in CAMPAIGN_RUNS)
         and all(doc["tabu_campaign"][f"N{n}"]["records_identical"] for n in TABU_CAMPAIGN_RUNS)
+        and all(doc["exact"][f"N{n}"]["results_identical"] for n in EXACT_SIZES)
     )
     return 0 if identical else 1
 

@@ -46,9 +46,9 @@ __all__ = [
 ]
 
 EXACT_LIMIT = 32
-# exact_solve scores blocks of 2^EXACT_BLOCK_BITS rows.  Sized by measurement
-# at N = 24 and 28 on one BLAS thread: 11 to 13 tie, and 10, 14 and 16 are
-# 5-30% slower.
+# exact_solve builds blocks of 2^EXACT_BLOCK_BITS rows and scores about half of
+# each.  Re-measured with the half-size blocks at N = 24 and 28 on one BLAS
+# thread: 12 and 13 tie, and 10, 11 and 14 are 10-60% slower.
 EXACT_BLOCK_BITS = 12
 _NO_MOVE = np.inf  # masks tabu flips out of the argmin
 
@@ -75,12 +75,16 @@ class ExactResult:
 
 
 def exact_solve(N: int, levels: int = 3) -> ExactResult:
-    """Enumerate the 2^(N-2) sequences with x_0 = x_1 = +1.
+    """Enumerate the sequences with x_0 = x_1 = +1, one of each reversal pair.
 
     Negation fixes x_0, and alternation (x_i -> (-1)^i x_i) keeps x_0 and
-    fixes x_1; both keep every C_l^2, so every symmetry orbit has a member
-    here and the level energies and canonical optima are those of all 2^N
-    sequences.
+    fixes x_1; both keep every C_l^2.  Reversal followed by the same
+    renormalisation, R(x)_i = s a^i x_{N-1-i} with s = x_{N-1} and
+    a = x_{N-1} x_{N-2}, maps the x_0 = x_1 = +1 set onto itself and is an
+    involution, so every orbit of the full symmetry group meets that set in
+    exactly {x, R(x)}.  About half of that set is scored, at least one
+    member of every pair, and the level energies and canonical optima are
+    those of all 2^N sequences.
 
     The last k free positions are the low block, which runs over the 2^k
     rows of a block; the other positions are the high block h, fixed per
@@ -91,10 +95,17 @@ def exact_solve(N: int, levels: int = 3) -> ExactResult:
     block's own autocorrelations.  c_h rides along as a row of M_h against
     a column of ones in G, so a block is one float32 matmul and one
     rowwise C.C.  Every partial sum and every energy is an integer below
-    2^24 (E <= N^3 / 3), so float32 is exact.  Only the rows at or below
-    the running pool of lowest levels go on to be merged into it.  Memory
-    is a few 2^k x N float32 arrays whatever N is.  Refuses N beyond 32,
-    where enumeration stops being a desk job.
+    2^24 (E <= N^3 / 3), so float32 is exact.
+
+    The pair member to score is chosen by a key, positions 2 .. m+1 with
+    m = min(high, k) - 2: in x they are the low m bits of the block index,
+    and in R(x) they come from the low row alone.  The rows are sorted by
+    key(R(x)) once, and a block scores the suffix of rows whose key is at
+    least key(x), so x is scored when key(R(x)) >= key(x), and R(x) when
+    key(x) >= key(R(x)).  Only the rows at or below the running pool of
+    lowest levels go on to be merged into it.  Memory is a few 2^k x N
+    float32 arrays whatever N is.  Refuses N beyond 32, where enumeration
+    stops being a desk job.
     """
     if not 3 <= N <= EXACT_LIMIT:
         raise ValueError(f"exact enumeration supports 3 <= N <= {EXACT_LIMIT}")
@@ -102,7 +113,16 @@ def exact_solve(N: int, levels: int = 3) -> ExactResult:
         raise ValueError("need at least one level")
     k = min(EXACT_BLOCK_BITS, N - 2)
     high = N - k
+    m = max(0, min(high, k) - 2)
+    # Bit i of a row is 1 where the spin at position high + i is -1.  Since
+    # s a^j = x_{N-1-j%2}, bit j of the key, R(x) at position 2 + j, is the
+    # XOR of row bits k-3-j and k-1-j%2.
     rows = np.arange(1 << k)
+    key = np.zeros_like(rows)
+    for j in range(m):
+        key |= ((rows >> (k - 3 - j) ^ rows >> (k - 1 - j % 2)) & 1) << j
+    rows = np.argsort(key, kind="stable")  # the rows in key order
+    starts = np.searchsorted(key[rows], np.arange(1 << m))
     low = (1 - 2 * ((rows[:, None] >> np.arange(k)) & 1)).astype(np.float32)
     table = np.zeros((rows.size, N - 1), dtype=np.float32)
     for lag in range(1, k):
@@ -119,12 +139,14 @@ def exact_solve(N: int, levels: int = 3) -> ExactResult:
     cutoff = np.inf
     at_best: list[tuple[int, np.ndarray]] = []  # (block, rows) at pool[0]
     for block in range(1 << (high - 2)):
+        start = starts[block & ((1 << m) - 1)]
         h[2:high] = 1 - 2 * ((block >> shifts) & 1)
         weights[:k] = h[source]
         weights[k, : high - 1] = np.correlate(h[:high], h[:high], "full")[high:]
-        np.matmul(spins, weights, out=corr)
-        corr += table
-        energies = np.einsum("ij,ij->i", corr, corr)
+        scored = corr[start:]
+        np.matmul(spins[start:], weights, out=scored)
+        scored += table[start:]
+        energies = np.einsum("ij,ij->i", scored, scored)
         hits = np.flatnonzero(energies <= cutoff)
         if hits.size == 0:
             continue
@@ -135,7 +157,7 @@ def exact_solve(N: int, levels: int = 3) -> ExactResult:
         if pool.size == levels:
             cutoff = pool[-1]
         if found.min() == pool[0]:
-            at_best.append((block, hits[found == pool[0]]))
+            at_best.append((block, start + hits[found == pool[0]]))
     canonical: dict[tuple, np.ndarray] = {}
     for block, hit_rows in at_best:
         h[2:high] = 1 - 2 * ((block >> shifts) & 1)

@@ -85,6 +85,25 @@ def reference_levels(n: int) -> list[int]:
     return list(table[n])
 
 
+_COUNT = ((int,), "an integer")
+# Solvers write integer counters; synthetic fitting records carry real tts.
+_OPTIONAL_NUMBER = ((int, float, type(None)), "a number or null")
+# The JSON type each record field must have; true and false count as none.
+_FIELD_TYPES = {
+    "solver": ((str,), "a string"),
+    "n": _COUNT,
+    "run_index": _COUNT,
+    "seed": _COUNT,
+    "best_energy": _COUNT,
+    "total_evals": _COUNT,
+    "tts": _OPTIONAL_NUMBER,
+    "tts_1st": _OPTIONAL_NUMBER,
+    "tts_2nd": _OPTIONAL_NUMBER,
+    "wall_time": _OPTIONAL_NUMBER,
+    "config": ((dict,), "an object"),
+}
+
+
 @dataclass
 class RunRecord:
     """One campaign run: counters, outcome, and the config that made it."""
@@ -111,7 +130,12 @@ class RunRecord:
         if not isinstance(doc, dict):
             raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
         doc = {k: v for k, v in doc.items() if k != "schema_version"}
-        return cls(**doc)
+        record = cls(**doc)
+        for name, (kinds, expected) in _FIELD_TYPES.items():
+            value = getattr(record, name)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ValueError(f"field {name!r} must be {expected}, got {value!r}")
+        return record
 
     @classmethod
     def from_solve_result(

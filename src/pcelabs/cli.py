@@ -217,6 +217,8 @@ def _load_sample(path: str):
     try:
         data = json.loads(text)
     except json.JSONDecodeError:
+        data = None
+    if data is None or isinstance(data, dict):  # records, one or more lines
         records = bench.read_records(path)
         data = [r.tts for r in records if r.tts is not None]
         if not data:

@@ -17,6 +17,7 @@ from pcelabs.baselines import (
     pce_warm_start,
     tabu_search,
 )
+from pcelabs.bench import reference_levels
 from pcelabs.labs_core import canonicalize, parse_sequence, sidelobe_energy
 from pcelabs.pce_solver import EnergyReferences, PceConfig
 
@@ -47,6 +48,23 @@ def test_exact_levels_match_brute_force(n):
     assert result.level_energies == found
     assert result.optimal_energy == result.level_energies[0]
     assert {tuple(x) for x in result.canonical_optima} == optima
+
+
+@pytest.mark.parametrize("bits", [3, 4])
+@pytest.mark.parametrize("n", range(7, 13))
+def test_narrow_blocks_match_brute_force(n, bits, monkeypatch):
+    """Blocks narrower than the high part, so the reversal key spans k - 2
+    positions: a branch the default block width reaches only beyond N = 24."""
+    monkeypatch.setattr(baselines, "EXACT_BLOCK_BITS", bits)
+    result = exact_solve(n)
+    found, optima = brute_force(n)
+    assert result.level_energies == found
+    assert {tuple(x) for x in result.canonical_optima} == optima
+
+
+@pytest.mark.parametrize("n", [25, 26])
+def test_exact_levels_match_the_packaged_table(n):
+    assert exact_solve(n).level_energies == reference_levels(n)
 
 
 @pytest.mark.parametrize("n", range(3, 13))

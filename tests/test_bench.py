@@ -172,14 +172,19 @@ def test_committed_tabu_records_replay():
         assert replayed.to_dict() == record
 
 
-def test_bench_snapshot_campaign_runs_match_the_campaign():
-    """The snapshot's campaign jobs, run as it runs them, give the records of
-    ``bench._run_one``; the PCE job's row counts and lockstep batches fit
-    its record.  This also fails if a name the jobs patch is renamed."""
+def load_bench_snapshot():
     path = REPO / "scripts" / "bench_snapshot.py"
     spec = importlib.util.spec_from_file_location("bench_snapshot", path)
     snapshot = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(snapshot)
+    return snapshot
+
+
+def test_bench_snapshot_campaign_runs_match_the_campaign():
+    """The snapshot's campaign jobs, run as it runs them, give the records of
+    ``bench._run_one``; the PCE job's row counts and lockstep batches fit
+    its record.  This also fails if a name the jobs patch is renamed."""
+    snapshot = load_bench_snapshot()
     jobs = {
         "pce": (snapshot.CAMPAIGN_RUN, snapshot.CAMPAIGN),
         "tabu": (snapshot.TABU_CAMPAIGN_RUN, snapshot.TABU_CAMPAIGN),
@@ -191,6 +196,13 @@ def test_bench_snapshot_campaign_runs_match_the_campaign():
         assert jobs[solver]["record"] == bench._run_one(config, 13, 0).to_dict()
     assert jobs["pce"]["rows_discarded"] >= 0
     assert sum(jobs["pce"]["batch_sizes"]) >= jobs["pce"]["restarts_used"]
+
+
+def test_bench_snapshot_exact_job_matches_exact_solve():
+    snapshot = load_bench_snapshot()
+    job = snapshot.run_job(snapshot.EXACT_RUN, REPO / "src", 13)
+    assert job["result"] == exact_solve(13).to_dict()
+    assert job["wall_s"] > 0
 
 
 def test_campaign_solver_validation():

@@ -3,12 +3,15 @@ import io
 import json
 import math
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
 from pcelabs import bench
 from pcelabs.baselines import TabuConfig, tabu_search
 from pcelabs.cli import main
+
+TABU_RECORDS = Path(__file__).resolve().parents[1] / "bench_out" / "reduced_tabu.jsonl"
 
 
 def run_cli(argv, env=None, monkeypatch=None):
@@ -374,6 +377,49 @@ def test_malformed_document_exits_2(bad, tmp_path, capsys):
     assert rc == 2
     assert stdout == ""
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# A field of a committed tabu record, and a value of the wrong JSON type.
+WRONGLY_TYPED_FIELDS = {
+    "n-string": ("n", "13"),
+    "run_index-float": ("run_index", 0.0),
+    "seed-bool": ("seed", True),
+    "best_energy-null": ("best_energy", None),
+    "total_evals-string": ("total_evals", "5096"),
+    "tts-string": ("tts", "5096"),
+    "tts_2nd-object": ("tts_2nd", {"evals": 61}),
+    "tts_1st-bool": ("tts_1st", False),
+    "wall_time-string": ("wall_time", "0.5"),
+    "solver-number": ("solver", 1),
+    "config-array": ("config", []),
+}
+
+
+@pytest.mark.parametrize("command", ["fit", "ks"])
+@pytest.mark.parametrize("bad", sorted(WRONGLY_TYPED_FIELDS))
+def test_wrongly_typed_record_field_exits_2(bad, command, tmp_path, capsys):
+    name, value = WRONGLY_TYPED_FIELDS[bad]
+    record = {**json.loads(TABU_RECORDS.read_text().splitlines()[0]), name: value}
+    records = tmp_path / "records.jsonl"
+    records.write_text((json.dumps(record) + "\n") * 3)
+    sample = tmp_path / "sample.json"
+    sample.write_text(json.dumps([1.0, 2.0, 3.0]))
+    argv = {"fit": ["fit", "--records"], "ks": ["ks", "--b", str(sample), "--a"]}[command]
+    rc, stdout = run_cli([*argv, str(records)])
+    assert rc == 2
+    assert stdout == ""
+    assert f"field {name!r} must be" in capsys.readouterr().err
+
+
+def test_ks_reads_a_one_line_records_file(tmp_path):
+    line = TABU_RECORDS.read_text().splitlines()[0]
+    records = tmp_path / "records.jsonl"
+    records.write_text(line + "\n")
+    sample = tmp_path / "sample.json"
+    sample.write_text(json.dumps([1.0, 2.0, 3.0]))
+    doc = run_json(["ks", "--a", str(records), "--b", str(sample)])
+    expected = bench.ks_two_sample([float(json.loads(line)["tts"])], [1.0, 2.0, 3.0])
+    assert doc == {"schema_version": 1, **expected.to_dict()}
 
 
 def test_unknown_subcommand_exits_2(capsys):
