@@ -1,49 +1,39 @@
 """Write a committed benchmark snapshot: every perfbench workload end to
-end, a lockstep PCE campaign slice, timed runs of the reduced PCE and
-tabu campaigns, and timed exhaustive enumerations.
+end, then four paired-run parts.
 
 Run from the root of a checkout:
 
     python3 scripts/bench_snapshot.py --out BENCH_snapshot.json --parent ../other/src
 
-For each workload this runs ``perfbench/run.py --trace 0`` once and keeps
-its metrics.  The slice is ``solve`` at N = 20 with ``restart_cap=32``,
-200 iterations per restart and no references, each run in a fresh
-single-threaded process: on this checkout as it stands (restarts in
-lockstep), on this checkout with one restart per batch, and, with
-``--parent``, on the ``src`` directory of another checkout.  Runs
-alternate between the variants; medians are reported, and the slice's
-record must be the same in every run.
+Each workload runs once as ``perfbench/run.py --trace 0``.  A part is a
+job script and a list of jobs; ``alternate`` runs each job once on every
+variant, in fresh single-threaded processes, alternating which goes first.
+The variants are this checkout (``checkout``) and, with ``--parent``, the
+``src`` directory of another checkout (``parent``).  The parts:
 
-The campaign part times runs of ``configs/reduced_pce.json`` as the
-campaign runs them, with reference levels, so each run ends at its first
-exact hit: the first ``CAMPAIGN_RUNS[N]`` runs at N = 13 and 20, on this
-checkout and, with ``--parent``, alternating with the other one.  For
-each run it reports the wall time, the record (which must match), the
-restart that hit and where it sat in its lockstep batch, and the rows
-evolved: those past ``total_evals`` are the discarded rest of a batch.
-Rows and batches are counted at ``LossContext.step``, which both engines
-call once per step, so the counts hold on either engine.
+- ``slice``: ``solve`` at N = 20, 32 restarts of 200 iterations, no
+  references, ``--repeats`` times; also on this checkout with one restart
+  per batch (``one_restart_per_batch``).
+- ``campaign``: the first ``CAMPAIGN_RUNS[N]`` runs of
+  ``configs/reduced_pce.json`` as the campaign runs them, with reference
+  levels.  A row also has the restart that hit, its place in its lockstep
+  batch, and the rows evolved (counted at ``LossContext.step``, which both
+  engines call once per step): those past ``total_evals`` are discarded.
+- ``tabu_campaign``: the first ``TABU_CAMPAIGN_RUNS[N]`` runs of
+  ``configs/reduced_tabu.json``, with reference levels.
+- ``exact``: ``exact_solve(N)`` at each N in ``EXACT_SIZES``, ``--repeats``
+  times.
 
-The tabu campaign part does the same for ``configs/reduced_tabu.json``:
-the first ``TABU_CAMPAIGN_RUNS[N]`` runs at N = 20 and 28, with reference
-levels, on this checkout and, with ``--parent``, alternating with the
-other one, each run's record required to match.  It reports the wall
-time of every run and the evaluations per second of each size.
-
-The exact part runs ``exact_solve(N)`` at each N in ``EXACT_SIZES``,
-``--repeats`` times per checkout, each in a fresh single-threaded process,
-alternating this checkout with ``--parent``.  Every run's
-``ExactResult.to_dict()`` must be the same.
-
-The environment block names the resolved engine, numba availability,
-versions, CPU count and host.  The exit code is 1 if any record or exact
-result differs between runs or checkouts.
+A part is added as a job script and one more entry in ``main``'s
+``parts``.  The environment block names the resolved engine, numba
+availability, versions, CPU count and host.  The exit code is 1 if any
+variant printed another record or result than this checkout.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import importlib.util
 import json
 import os
@@ -167,160 +157,105 @@ def run_job(script: str, src: Path, *args) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def run_slice(src: Path, rows: int) -> dict:
-    return run_job(SLICE_RUN, src, json.dumps(SLICE), rows)
-
-
 def run_campaign_job(script: str, config: Path, src: Path, n: int, index: int) -> dict:
     return run_job(script, src, config.read_text(), n, index)
 
 
-def campaign(variants: dict) -> dict:
-    """Alternating timed runs of the reduced PCE campaign; see the module
-    docstring."""
-    out = {"config": str(CAMPAIGN.relative_to(ROOT)), "runs": []}
-    step = 0
-    for n, count in CAMPAIGN_RUNS.items():
-        for index in range(count):
-            order = list(variants) if step % 2 == 0 else list(reversed(variants))
-            step += 1
-            done = {
-                name: run_campaign_job(CAMPAIGN_RUN, CAMPAIGN, variants[name], n, index)
-                for name in order
-            }
-            run = done["lockstep"]
-            record = run["record"]
-            # The run ends in its last batch, at the restart that hit or at
-            # the restart cap.
-            sizes = run["batch_sizes"]
-            row = {
-                "N": n,
-                "run_index": index,
-                "total_evals": record["total_evals"],
-                "restarts_used": run["restarts_used"],
-                "hit": record["tts"] is not None,
-                "batch_size": sizes[-1],
-                "position_in_batch": run["restarts_used"] - 1 - sum(sizes[:-1]),
-                "rows_evolved": run["rows_evolved"],
-                "rows_discarded": run["rows_discarded"],
-                "records_identical": all(d["record"] == record for d in done.values()),
-            }
-            row.update({f"{name}_wall_s": d["wall_s"] for name, d in done.items()})
-            out["runs"].append(row)
-            print(f"campaign N={n} run {index}: {row}", file=sys.stderr)
-    for n in CAMPAIGN_RUNS:
-        runs = [run for run in out["runs"] if run["N"] == n]
-        evolved = sum(run["rows_evolved"] for run in runs)
-        summary = {
-            "runs": len(runs),
-            "hits_inside_a_batch": sum(run["hit"] and run["position_in_batch"] > 0 for run in runs),
-            "rows_discarded_share": sum(run["rows_discarded"] for run in runs) / evolved,
-            "records_identical": all(run["records_identical"] for run in runs),
-        }
-        summary.update(wall_summary(runs, variants, "lockstep"))
+def alternate(name: str, script: str, jobs: list, variants: dict, result: str, fields) -> list:
+    """Run each job once on every variant, alternating which goes first.
+
+    ``jobs`` holds (key, arguments) pairs and ``variants`` maps a name to
+    (src directory, *arguments after the job's).  A row holds the key, the
+    ``checkout`` output but its wall time and ``result``, plus ``fields``
+    of it, every variant's wall time, and ``identical``: whether every
+    variant printed the same ``result``.
+    """
+    rows = []
+    for step, (key, args) in enumerate(jobs):
+        order = list(variants) if step % 2 == 0 else list(reversed(variants))
+        done = {v: run_job(script, variants[v][0], *args, *variants[v][1:]) for v in order}
+        this = done["checkout"]
+        identical = all(d[result] == this[result] for d in done.values())
+        row = {**key, **{k: x for k, x in this.items() if k not in ("wall_s", result)}}
+        row.update(fields(this), identical=identical)
+        row.update({f"{v}_wall_s": done[v]["wall_s"] for v in variants})
+        rows.append(row)
+        print(f"{name} {key}: {row}", file=sys.stderr)
+    return rows
+
+
+def summarize(rows: list[dict], variants: dict) -> dict:
+    """Per size, the runs' wall-time totals and medians, evaluations per
+    second where the runs count evaluations, and this checkout's speed-ups
+    over every other variant: in total, in the median run and run by run."""
+    out = {}
+    for n in dict.fromkeys(row["N"] for row in rows):
+        runs = [row for row in rows if row["N"] == n]
+        summary = {"runs": len(runs), "identical": all(run["identical"] for run in runs)}
+        for v in variants:
+            walls = [run[f"{v}_wall_s"] for run in runs]
+            summary[f"{v}_total_wall_s"] = sum(walls)
+            summary[f"{v}_median_wall_s"] = statistics.median(walls)
+        if "total_evals" in runs[0]:
+            summary["total_evals"] = sum(run["total_evals"] for run in runs)
+            for v in variants:
+                summary[f"{v}_evals_per_s"] = summary["total_evals"] / summary[f"{v}_total_wall_s"]
+        for v in [v for v in variants if v != "checkout"]:
+            ratios = [run[f"{v}_wall_s"] / run["checkout_wall_s"] for run in runs]
+            summary[f"speedup_over_{v}_total"] = (
+                summary[f"{v}_total_wall_s"] / summary["checkout_total_wall_s"]
+            )
+            summary[f"speedup_over_{v}_median_run"] = statistics.median(ratios)
+            summary[f"runs_faster_than_{v}"] = sum(r > 1 for r in ratios)
         out[f"N{n}"] = summary
     return out
 
 
-def tabu_campaign(variants: dict) -> dict:
-    """Alternating timed runs of the reduced tabu campaign; see the module
-    docstring."""
-    out = {"config": str(TABU_CAMPAIGN.relative_to(ROOT)), "runs": []}
-    step = 0
-    for n, count in TABU_CAMPAIGN_RUNS.items():
-        for index in range(count):
-            order = list(variants) if step % 2 == 0 else list(reversed(variants))
-            step += 1
-            done = {
-                name: run_campaign_job(TABU_CAMPAIGN_RUN, TABU_CAMPAIGN, variants[name], n, index)
-                for name in order
-            }
-            record = done["checkout"]["record"]
-            row = {
-                "N": n,
-                "run_index": index,
-                "total_evals": record["total_evals"],
-                "hit": record["tts"] is not None,
-                "records_identical": all(d["record"] == record for d in done.values()),
-            }
-            row.update({f"{name}_wall_s": d["wall_s"] for name, d in done.items()})
-            out["runs"].append(row)
-            print(f"tabu campaign N={n} run {index}: {row}", file=sys.stderr)
-    for n in TABU_CAMPAIGN_RUNS:
-        runs = [run for run in out["runs"] if run["N"] == n]
-        evals = sum(run["total_evals"] for run in runs)
-        summary = {
-            "runs": len(runs),
-            "total_evals": evals,
-            "records_identical": all(run["records_identical"] for run in runs),
-        }
-        summary.update(wall_summary(runs, variants, "checkout"))
-        for name in variants:
-            summary[f"{name}_evals_per_s"] = evals / summary[f"{name}_total_wall_s"]
-        out[f"N{n}"] = summary
-    return out
+def exit_code(doc: dict) -> int:
+    """1 if a variant printed another record or result than this checkout."""
+    runs = [run for part in doc.values() for run in part.get("runs", ())]
+    return 0 if all(run["identical"] for run in runs) else 1
 
 
-def exact(variants: dict, repeats: int) -> dict:
-    """Alternating timed runs of ``exact_solve``; see the module docstring."""
-    out = {"runs": []}
-    step = 0
-    for n in EXACT_SIZES:
-        for repeat in range(repeats):
-            order = list(variants) if step % 2 == 0 else list(reversed(variants))
-            step += 1
-            done = {name: run_job(EXACT_RUN, variants[name], n) for name in order}
-            result = done["checkout"]["result"]
-            row = {
-                "N": n,
-                "repeat": repeat,
-                "results_identical": all(d["result"] == result for d in done.values()),
-            }
-            row.update({f"{name}_wall_s": d["wall_s"] for name, d in done.items()})
-            out["runs"].append(row)
-            print(f"exact N={n} repeat {repeat}: {row}", file=sys.stderr)
-    for n in EXACT_SIZES:
-        runs = [run for run in out["runs"] if run["N"] == n]
-        summary = {
-            "runs": len(runs),
-            "results_identical": all(run["results_identical"] for run in runs),
-        }
-        for name in variants:
-            summary[f"{name}_median_wall_s"] = statistics.median(run[f"{name}_wall_s"] for run in runs)
-        summary.update(wall_summary(runs, variants, "checkout"))
-        out[f"N{n}"] = summary
-    return out
+def evals_fields(run: dict) -> dict:
+    return {"total_evals": run["record"]["total_evals"]}
 
 
-def wall_summary(runs: list[dict], variants: dict, this: str) -> dict:
-    """Total wall time per variant and, with a parent, this checkout's
-    speed-up over it in total, in the median run and run by run."""
-    summary = {
-        f"{name}_total_wall_s": sum(run[f"{name}_wall_s"] for run in runs) for name in variants
+def record_fields(run: dict) -> dict:
+    return {**evals_fields(run), "hit": run["record"]["tts"] is not None}
+
+
+def campaign_fields(run: dict) -> dict:
+    # The run ends in its last batch, at the restart that hit or at the
+    # restart cap.
+    sizes = run["batch_sizes"]
+    return {
+        **record_fields(run),
+        "batch_size": sizes[-1],
+        "position_in_batch": run["restarts_used"] - 1 - sum(sizes[:-1]),
     }
-    if "parent" in variants:
-        ratios = [run["parent_wall_s"] / run[f"{this}_wall_s"] for run in runs]
-        summary["speedup_over_parent_total"] = (
-            summary["parent_total_wall_s"] / summary[f"{this}_total_wall_s"]
-        )
-        summary["speedup_over_parent_median_run"] = statistics.median(ratios)
-        summary["runs_faster_than_parent"] = sum(r > 1 for r in ratios)
-    return summary
+
+
+def campaign_jobs(config: Path, counts: dict) -> tuple[str, list]:
+    """A campaign part's config name and its jobs: the first counts[N]
+    runs at each N."""
+    text = config.read_text()
+    jobs = [
+        ({"N": n, "run_index": i}, (text, n, i)) for n, count in counts.items() for i in range(count)
+    ]
+    return str(config.relative_to(ROOT)), jobs
 
 
 def environment() -> dict:
     sys.path.insert(0, str(ROOT / "src"))
-    import numpy as np
-    import scipy
-
     from pcelabs import pce_solver
 
     return {
         "engine": pce_solver.resolve_engine(),
         "numba": importlib.util.find_spec("numba") is not None,
         "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "numpy": importlib.metadata.version("numpy"),
+        "scipy": importlib.metadata.version("scipy"),
         "nproc": os.cpu_count(),
         "host": platform.node(),
     }
@@ -335,49 +270,45 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args(argv)
 
-    doc = {"environment": environment(), "perfbench": {}, "slice": {"config": SLICE}}
+    doc = {"environment": environment(), "perfbench": {}}
     for workload in WORKLOADS:
         doc["perfbench"][workload] = run_workload(workload, args.seed, args.seconds)
         print(f"{workload}: {doc['perfbench'][workload]['metrics']}", file=sys.stderr)
 
-    variants = {"lockstep": (ROOT / "src", 0), "one_restart_per_batch": (ROOT / "src", 1)}
+    # A slice job's last argument sets LOCKSTEP_ROWS; 0 keeps the checkout's.
+    checkouts = {"checkout": (ROOT / "src",)}
+    slices = {"checkout": (ROOT / "src", 0), "one_restart_per_batch": (ROOT / "src", 1)}
     if args.parent is not None:
-        variants["parent"] = (args.parent.resolve(), 0)
-    runs = {name: [] for name in variants}
-    for repeat in range(args.repeats):
-        order = list(variants) if repeat % 2 == 0 else list(reversed(variants))
-        for name in order:
-            runs[name].append(run_slice(*variants[name]))
-            print(f"slice {name}: {runs[name][-1]['wall_s']:.2f} s", file=sys.stderr)
-    records = [run["record"] for name in runs for run in runs[name]]
-    evals = records[0]["total_evals"]
-    for name, done in runs.items():
-        walls = [run["wall_s"] for run in done]
-        wall = statistics.median(walls)
-        doc["slice"][name] = {"wall_s": walls, "median_wall_s": wall, "evals_per_s": evals / wall}
-    doc["slice"]["total_evals"] = evals
-    doc["slice"]["records_identical"] = all(record == records[0] for record in records)
-    for name in runs:
-        if name != "lockstep":
-            ratio = doc["slice"][name]["median_wall_s"] / doc["slice"]["lockstep"]["median_wall_s"]
-            doc["slice"][f"speedup_over_{name}"] = ratio
-    campaign_variants = {"lockstep": ROOT / "src"}
-    if args.parent is not None:
-        campaign_variants["parent"] = args.parent.resolve()
-    doc["campaign"] = campaign(campaign_variants)
-    checkouts = {"checkout": ROOT / "src"}
-    if args.parent is not None:
-        checkouts["parent"] = args.parent.resolve()
-    doc["tabu_campaign"] = tabu_campaign(checkouts)
-    doc["exact"] = exact(checkouts, args.repeats)
+        checkouts["parent"] = (args.parent.resolve(),)
+        slices["parent"] = (args.parent.resolve(), 0)
+    repeats = range(args.repeats)
+    slice_jobs = [({"N": SLICE["N"], "repeat": r}, (json.dumps(SLICE),)) for r in repeats]
+    exact_jobs = [({"N": n, "repeat": r}, (n,)) for n in EXACT_SIZES for r in repeats]
+    parts = {  # name: (config, jobs, job script, variants, result, row fields)
+        "slice": (SLICE, slice_jobs, SLICE_RUN, slices, "record", evals_fields),
+        "campaign": (
+            *campaign_jobs(CAMPAIGN, CAMPAIGN_RUNS),
+            CAMPAIGN_RUN, checkouts, "record", campaign_fields,
+        ),
+        "tabu_campaign": (
+            *campaign_jobs(TABU_CAMPAIGN, TABU_CAMPAIGN_RUNS),
+            TABU_CAMPAIGN_RUN, checkouts, "record", record_fields,
+        ),
+        "exact": (EXACT_SIZES, exact_jobs, EXACT_RUN, checkouts, "result", lambda run: {}),
+    }
+    for name, (config, jobs, script, variants, result, fields) in parts.items():
+        runs = alternate(name, script, jobs, variants, result, fields)
+        doc[name] = {"config": config, "runs": runs, **summarize(runs, variants)}
+    for n in CAMPAIGN_RUNS:
+        runs = [run for run in doc["campaign"]["runs"] if run["N"] == n]
+        doc["campaign"][f"N{n}"]["hits_inside_a_batch"] = sum(
+            run["hit"] and run["position_in_batch"] > 0 for run in runs
+        )
+        evolved = sum(run["rows_evolved"] for run in runs)
+        discarded = sum(run["rows_discarded"] for run in runs)
+        doc["campaign"][f"N{n}"]["rows_discarded_share"] = discarded / evolved
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    identical = (
-        doc["slice"]["records_identical"]
-        and all(doc["campaign"][f"N{n}"]["records_identical"] for n in CAMPAIGN_RUNS)
-        and all(doc["tabu_campaign"][f"N{n}"]["records_identical"] for n in TABU_CAMPAIGN_RUNS)
-        and all(doc["exact"][f"N{n}"]["results_identical"] for n in EXACT_SIZES)
-    )
-    return 0 if identical else 1
+    return exit_code(doc)
 
 
 if __name__ == "__main__":

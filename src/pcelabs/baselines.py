@@ -241,10 +241,8 @@ def _tabu_core(
         count = min(n, counter.budget - start)
         best_idx = int(deltas.argmin())
         # The start of the run has been observed, so there is a limit.  When
-        # even the best flip lands above it, no probe can fire and no flip
-        # improves the best, so aspiration is off too, and the best flip is
-        # the move unless it is tabu (argmin breaks ties toward the lowest
-        # index, as the masked argmin below does).
+        # even the best flip lands above it, no probe can fire, so the probe
+        # scan is skipped.
         limit = counter.limit()
         quiet = energies[best_idx] > limit
         if not quiet:
@@ -262,7 +260,9 @@ def _tabu_core(
         counter.evals = start + count
         if count < n:
             return
-        if not quiet or tabu_until[best_idx] > move:
+        if tabu_until[best_idx] > move:
+            # Unless the best flip is tabu it is the move: argmin breaks ties
+            # toward the lowest index, as the masked argmin would.
             # tenure_max < N: at least one flip is free of tabu.
             allowed = (tabu_until <= move) | (energies < counter.best_energy)
             best_idx = int(np.where(allowed, deltas, _NO_MOVE).argmin())

@@ -351,9 +351,10 @@ class EvalCounter:
         self.evals_to_first: int | None = None
         self.evals_to_second: int | None = None
 
-    def tick(self) -> int:
-        """Spend one evaluation; returns its 1-based index."""
-        self.evals += 1
+    def tick(self, cost: int = 1) -> int:
+        """Spend ``cost`` evaluations; returns the 1-based index of the
+        last one."""
+        self.evals += cost
         return self.evals
 
     @property
@@ -489,34 +490,26 @@ def _descend(N: int, config: PceConfig, counter: EvalCounter) -> int:
         )
         thetas = np.array(thetas)
         optimizer = _make_optimizer(config, thetas.shape)
-        start = counter.evals
-        done = 0  # evaluations each restart of the batch has cost so far
-        spent = []  # done, per step
-        trail = []  # (energies, sequences) of the batch, per step
+        trail = []  # (energies, sequences, cost) of the batch, per step
         # The initial angles are evaluated and decoded too, so a restart
         # costs iters_per_restart + 1 loss evaluations.
         for it in range(iters + 1):
-            last = budget is not None and start + done + 1 + gradient_cost >= budget
+            last = budget is not None and counter.evals + 1 + gradient_cost >= budget
             e, grad = ctx.step(thetas, gradient=it < iters and not last)
-            done += 1 if grad is None else 1 + gradient_cost
-            spent.append(done)
+            cost = 1 if grad is None else 1 + gradient_cost
             sequences = decode(e)
             energies = [sidelobe_energy(x) for x in sequences]
-            trail.append((energies, sequences))
+            trail.append((energies, sequences, cost))
             # The batch's first restart comes first in the count, so it is
             # observed as it runs and the exact level stops it at once.
-            if counter.observe(sequences[0], energies[0], start + done) or last:
-                counter.evals = start + done
+            if counter.observe(sequences[0], energies[0], counter.tick(cost)) or last:
                 return restarts_used + 1
             if grad is not None:
                 thetas = optimizer.update(thetas, grad)
-        # The others follow it restart by restart.
+        # The others follow it restart by restart, billed as they replay.
         for k in range(1, batch):
-            for (energies, sequences), so_far in zip(trail, spent):
-                index = start + k * done + so_far
-                if counter.observe(sequences[k], energies[k], index):
-                    counter.evals = index
+            for energies, sequences, cost in trail:
+                if counter.observe(sequences[k], energies[k], counter.tick(cost)):
                     return restarts_used + k + 1
-        counter.evals = start + batch * done
         restarts_used += batch
     return restarts_used

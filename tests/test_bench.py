@@ -205,6 +205,51 @@ def test_bench_snapshot_exact_job_matches_exact_solve():
     assert job["wall_s"] > 0
 
 
+def test_bench_snapshot_runner_alternates_the_variants(monkeypatch, tmp_path):
+    snapshot = load_bench_snapshot()
+    run_job, calls = snapshot.run_job, []
+
+    def logged(script, src, *args):
+        calls.append(src)
+        return run_job(script, src, *args)
+
+    monkeypatch.setattr(snapshot, "run_job", logged)
+    first, second = REPO / "src", tmp_path / "src"
+    second.symlink_to(first)
+    variants = {"checkout": (first,), "other": (second,)}
+    jobs = [({"N": 5, "repeat": r}, (5,)) for r in range(3)]
+    rows = snapshot.alternate("exact", snapshot.EXACT_RUN, jobs, variants, "result", lambda run: {})
+    assert calls == [first, second, second, first, first, second]
+    assert [(row["N"], row["repeat"]) for row in rows] == [(5, 0), (5, 1), (5, 2)]
+    assert all(row["identical"] for row in rows)
+    assert all(row["checkout_wall_s"] > 0 and row["other_wall_s"] > 0 for row in rows)
+    summary = snapshot.summarize(rows, variants)["N5"]
+    assert (summary["runs"], summary["identical"]) == (3, True)
+    assert summary["checkout_total_wall_s"] > 0 and "speedup_over_other_total" in summary
+    assert snapshot.exit_code({"exact": {"runs": rows}}) == 0
+
+
+def test_bench_snapshot_flags_a_variant_with_another_result(tmp_path):
+    stub = tmp_path / "pcelabs"
+    stub.mkdir()
+    (stub / "__init__.py").write_text("")
+    (stub / "baselines.py").write_text(
+        "class Result:\n"
+        "    def to_dict(self):\n"
+        "        return {'n': 0}\n"
+        "def exact_solve(n):\n"
+        "    return Result()\n"
+    )
+    snapshot = load_bench_snapshot()
+    variants = {"checkout": (REPO / "src",), "parent": (tmp_path,)}
+    rows = snapshot.alternate(
+        "exact", snapshot.EXACT_RUN, [({"N": 5, "repeat": 0}, (5,))], variants, "result", lambda run: {}
+    )
+    assert not rows[0]["identical"]
+    assert not snapshot.summarize(rows, variants)["N5"]["identical"]
+    assert snapshot.exit_code({"environment": {}, "exact": {"runs": rows}}) == 1
+
+
 def test_campaign_solver_validation():
     with pytest.raises(ValueError):
         CampaignConfig.from_dict({"solver": "annealer", "sizes": [5], "runs_per_size": 1})
