@@ -227,8 +227,12 @@ def _tabu_core(
     non-tabu flip, where a tabu flip is allowed if it would improve the
     global best.  Ties break toward the lowest index.
     """
-    n = ws.n
-    tabu_until = np.zeros(n, dtype=np.int64)
+    def flipped(i: int) -> np.ndarray:
+        seq = ws.sequence
+        seq[i] = -seq[i]
+        return seq
+
+    tabu_until = np.zeros(ws.n, dtype=np.int64)
     move = 0
     since_improvement = 0
     while since_improvement < stagnation_limit:
@@ -237,28 +241,10 @@ def _tabu_core(
         move += 1
         deltas = ws.propose_all()
         energies = ws.energy + deltas
-        start = counter.evals
-        count = min(n, counter.budget - start)
         best_idx = int(deltas.argmin())
-        # The start of the run has been observed, so there is a limit.  When
-        # even the best flip lands above it, no probe can fire, so the probe
-        # scan is skipped.
-        limit = counter.limit()
-        quiet = energies[best_idx] > limit
-        if not quiet:
-            # The limit only falls while the probes are observed, so every
-            # probe that can fire is among these; each is checked again in
-            # index order.
-            for i in (energies[:count] <= limit).nonzero()[0].tolist():
-                energy = int(energies[i])
-                if counter.interested(energy):
-                    seq = ws.sequence
-                    seq[i] = -seq[i]
-                    if counter.observe(seq, energy, start + i + 1):
-                        counter.evals = start + i + 1
-                        return
-        counter.evals = start + count
-        if count < n:
+        # When even the best flip lands above the counter's limit, no probe
+        # can fire, and the counter bills the move without a probe scan.
+        if counter.observe_run(energies, energies[best_idx], flipped):
             return
         if tabu_until[best_idx] > move:
             # Unless the best flip is tabu it is the move: argmin breaks ties
@@ -294,7 +280,7 @@ def tabu_search(
     counter = EvalCounter(N, references, config.eval_budget)
     restarts = 0
     spins = np.array([-1, 1])
-    while not counter.exhausted and counter.evals_to_exact is None:
+    while not counter.done:
         restarts += 1
         ws = FlipWorkspace(rng.choice(spins, N))
         if counter.observe(ws.sequence, ws.energy, counter.tick()):
@@ -366,16 +352,11 @@ def _evolve(
     tenure = config.resolved_tenure(N)
     mutation_rate = config.resolved_mutation_rate(N)
     rng = np.random.default_rng(config.seed)
-    energies = []
-    for member in members:
-        if counter.exhausted:
-            break
-        energy = sidelobe_energy(member)
-        energies.append(energy)
-        if counter.observe(member, energy, counter.tick()):
-            break
+    energies = np.array([sidelobe_energy(member) for member in members])
+    # A stop inside the population leaves the counter done: no generation runs.
+    counter.observe_run(energies, energies.min(), members.__getitem__)
     generations = 0
-    while not counter.exhausted and counter.evals_to_exact is None:
+    while not counter.done:
         generations += 1
         child = _crossover(
             _tournament(members, energies, config.tournament_size, rng),
@@ -405,7 +386,7 @@ def _evolve(
 
 
 def _tournament(
-    members: list[np.ndarray], energies: list[int], size: int, rng: np.random.Generator
+    members: list[np.ndarray], energies: np.ndarray, size: int, rng: np.random.Generator
 ) -> np.ndarray:
     picks = rng.integers(len(members), size=max(1, size))
     best = min(picks, key=lambda i: energies[i])
@@ -454,7 +435,7 @@ def pce_warm_start(
     counter = EvalCounter(N, references, mt_config.eval_budget)
     for run in range(warm.pce_runs):
         _descend(N, replace(pce_config, seed=_derive_seed(pce_config.seed, run)), counter)
-        if counter.evals_to_exact is not None or counter.exhausted:
+        if counter.done:
             return counter.result("pce+memetic-tabu", pce_config.seed, run + 1)
     best = canonicalize(counter.best_sequence)
     population = [best.copy() for _ in range(warm.population_copies)]

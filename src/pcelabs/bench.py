@@ -13,8 +13,10 @@ so rerunning a campaign reproduces it bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
+import itertools
 import json
 import math
 import time
@@ -187,7 +189,7 @@ class CampaignConfig:
     timing: bool = False
 
     def __post_init__(self):
-        if self.solver not in ("pce", "tabu", "warm"):
+        if self.solver not in _SECTIONS:
             raise ValueError(f"unknown solver {self.solver!r}")
         self.sizes = tuple(int(n) for n in self.sizes)
         if not self.sizes:
@@ -200,7 +202,7 @@ class CampaignConfig:
         stray = sorted(set(self.per_size) - set(self.sizes))
         if stray:
             raise ValueError(f"per_size has sizes the campaign does not run: {stray}")
-        for section in ("pce", "tabu", "memetic", "warm"):
+        for section in dict.fromkeys(itertools.chain(*_SECTIONS.values())):
             if getattr(self, section) and section not in _SECTIONS[self.solver]:
                 raise ValueError(f"a {self.solver} campaign does not use {section} settings")
         # Bad settings for any size fail here, before a run starts.
@@ -279,20 +281,14 @@ def run_campaign(
     scheduling; per-run seeds depend only on (base_seed, N, run_index).
     """
     config = replace(config, references={n: config.levels_for(n) for n in config.sizes})
-    jobs = [(n, r) for n in config.sizes for r in range(config.runs_per_size)]
+    sizes, runs = zip(*((n, r) for n in config.sizes for r in range(config.runs_per_size)))
     records: list[RunRecord] = []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_one, config, n, r) for n, r in jobs]
-            for job, fut in zip(jobs, futures):
-                records.append(fut.result())
-                if progress is not None:
-                    progress(records[-1])
-    else:
-        for n, r in jobs:
-            records.append(_run_one(config, n, r))
+    # Both maps yield in (N, run_index) order and raise at the first failed run.
+    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        for record in (pool.map if pool else map)(_run_one, itertools.repeat(config), sizes, runs):
+            records.append(record)
             if progress is not None:
-                progress(records[-1])
+                progress(record)
     return records
 
 

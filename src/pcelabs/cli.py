@@ -10,6 +10,7 @@ Exit codes: 0 on success, 2 on invalid input, 1 on runtime failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -68,14 +69,28 @@ def _load_references(n: int, enabled: bool) -> EnergyReferences | None:
     return EnergyReferences.from_levels(bench.reference_levels(n))
 
 
-def _config_kwargs(args, names) -> dict:
-    """Collect explicitly-given optional flags into config kwargs."""
-    out = {}
-    for flag, field in names.items():
-        value = getattr(args, flag)
+def _config(cls, args):
+    """A ``cls`` config from the flags whose destination is one of its
+    fields; a flag left unset keeps the field's default."""
+    given = {}
+    for field in dataclasses.fields(cls):
+        value = getattr(args, field.name, None)
         if value is not None:
-            out[field] = value
-    return out
+            given[field.name] = value
+    return cls(**given)
+
+
+def _is_number(value) -> bool:
+    """A JSON number; true and false are not numbers."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numbers(values, error: str) -> list[float]:
+    """A JSON array of numbers as floats; anything else raises
+    ``ValueError(error)``."""
+    if not isinstance(values, list) or not all(map(_is_number, values)):
+        raise ValueError(error)
+    return [float(v) for v in values]
 
 
 def cmd_eval(args) -> int:
@@ -108,56 +123,16 @@ def cmd_skew(args) -> int:
     return 0
 
 
-_PCE_FLAGS = {
-    "qubits": "n_qubits",
-    "layers": "layers",
-    "pauli_mode": "pauli_mode",
-    "alpha": "alpha",
-    "beta": "beta",
-    "optimizer": "optimizer",
-    "step_size": "step_size",
-    "iters": "iters_per_restart",
-    "restarts": "restart_cap",
-    "shots": "shots",
-}
-
-
-def _add_pce_flags(parser) -> None:
-    parser.add_argument("--qubits", type=int, default=None)
-    parser.add_argument("--layers", type=int, default=None)
-    parser.add_argument(
-        "--pauli-mode",
-        dest="pauli_mode",
-        choices=["anticommuting", "commuting"],
-        default=None,
-    )
-    parser.add_argument("--alpha", type=float, default=None)
-    parser.add_argument("--beta", type=float, default=None)
-    parser.add_argument("--optimizer", choices=["adam", "sgd"], default=None)
-    parser.add_argument("--step-size", dest="step_size", type=float, default=None)
-    parser.add_argument("--iters", type=int, default=None)
-    parser.add_argument("--restarts", type=int, default=None)
-    parser.add_argument("--shots", type=int, default=None)
-
-
 def cmd_solve_pce(args) -> int:
-    config = PceConfig(seed=args.seed, **_config_kwargs(args, _PCE_FLAGS))
+    config = _config(PceConfig, args)
     references = _load_references(args.n, not args.no_refs)
     result = pce_solver.solve(args.n, config, references)
     _emit(result.to_dict())
     return 0
 
 
-_MEMETIC_FLAGS = {
-    "budget": "eval_budget",
-    "tenure_min": "tenure_min",
-    "tenure_max": "tenure_max",
-}
-_TABU_FLAGS = {**_MEMETIC_FLAGS, "stagnation": "stagnation_factor"}
-
-
 def cmd_solve_tabu(args) -> int:
-    config = TabuConfig(seed=args.seed, **_config_kwargs(args, _TABU_FLAGS))
+    config = _config(TabuConfig, args)
     references = _load_references(args.n, not args.no_refs)
     result = tabu_search(args.n, config, references)
     _emit(result.to_dict())
@@ -165,11 +140,9 @@ def cmd_solve_tabu(args) -> int:
 
 
 def cmd_warm_start(args) -> int:
-    pce = PceConfig(seed=args.seed, **_config_kwargs(args, _PCE_FLAGS))
-    memetic = MemeticConfig(seed=args.seed, **_config_kwargs(args, _MEMETIC_FLAGS))
-    warm = WarmStartConfig(
-        pce_runs=args.pce_runs, population_copies=args.copies
-    )
+    pce = _config(PceConfig, args)
+    memetic = _config(MemeticConfig, args)
+    warm = _config(WarmStartConfig, args)
     references = _load_references(args.n, not args.no_refs)
     result = pce_warm_start(args.n, pce, memetic, references, warm)
     _emit(result.to_dict())
@@ -223,9 +196,7 @@ def _load_sample(path: str):
         data = [r.tts for r in records if r.tts is not None]
         if not data:
             raise ValueError(f"{path}: no uncensored tts values")
-    if not isinstance(data, list):
-        raise ValueError(f"{path}: expected a JSON array of numbers")
-    return [float(v) for v in data]
+    return _numbers(data, f"{path}: expected a JSON array of numbers")
 
 
 def cmd_ks(args) -> int:
@@ -241,13 +212,12 @@ def cmd_tune(args) -> int:
         raise ValueError(f"{args.samples}: expected a JSON object of samples")
     samples = {}
     for key, values in raw.items():
-        if not isinstance(values, list):
-            raise ValueError(f"{args.samples}: the sample of {key!r} is not a JSON array")
+        error = f"{args.samples}: the sample of {key!r} is not a JSON array of numbers"
         try:
             setting = int(key)
         except ValueError:
             setting = float(key)
-        samples[setting] = [float(v) for v in values]
+        samples[setting] = _numbers(values, error)
     choice = bench.tune_sweep(samples, threshold=args.threshold)
     _emit({"setting": choice, "threshold": args.threshold})
     return 0
@@ -264,7 +234,7 @@ def cmd_shot_bound(args) -> int:
 def _load_fit_constants(path: str) -> dict:
     with open(path) as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict) or not all(isinstance(doc.get(k), (int, float)) for k in "bc"):
+    if not isinstance(doc, dict) or not all(_is_number(doc.get(k)) for k in "bc"):
         raise ValueError(f"{path}: fit document needs numbers 'b' and 'c'")
     return doc
 
@@ -319,33 +289,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--half", required=True)
     p.set_defaults(fn=cmd_skew)
 
-    p = sub.add_parser("solve-pce", help="variational solve")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-refs", action="store_true", help="skip reference counters")
-    _add_pce_flags(p)
+    # Each solver flag's destination is its config field (``_config``).
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--n", type=int, required=True)
+    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--no-refs", action="store_true", help="skip reference counters")
+    tabu = argparse.ArgumentParser(add_help=False)
+    tabu.add_argument("--budget", dest="eval_budget", type=int)
+    tabu.add_argument("--tenure-min", type=int)
+    tabu.add_argument("--tenure-max", type=int)
+    pce = argparse.ArgumentParser(add_help=False)
+    pce.add_argument("--qubits", dest="n_qubits", type=int)
+    pce.add_argument("--layers", type=int)
+    pce.add_argument("--pauli-mode", choices=["anticommuting", "commuting"])
+    pce.add_argument("--alpha", type=float)
+    pce.add_argument("--beta", type=float)
+    pce.add_argument("--optimizer", choices=["adam", "sgd"])
+    pce.add_argument("--step-size", type=float)
+    pce.add_argument("--iters", dest="iters_per_restart", type=int)
+    pce.add_argument("--restarts", dest="restart_cap", type=int)
+    pce.add_argument("--shots", type=int)
+
+    p = sub.add_parser("solve-pce", help="variational solve", parents=[run, pce])
     p.set_defaults(fn=cmd_solve_pce)
 
-    p = sub.add_parser("solve-tabu", help="tabu search")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-refs", action="store_true")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--tenure-min", dest="tenure_min", type=int, default=None)
-    p.add_argument("--tenure-max", dest="tenure_max", type=int, default=None)
-    p.add_argument("--stagnation", type=int, default=None)
+    p = sub.add_parser("solve-tabu", help="tabu search", parents=[run, tabu])
+    p.add_argument("--stagnation", dest="stagnation_factor", type=int)
     p.set_defaults(fn=cmd_solve_tabu)
 
-    p = sub.add_parser("warm-start", help="variational seeds feeding memetic tabu")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-refs", action="store_true")
-    p.add_argument("--pce-runs", dest="pce_runs", type=int, default=150)
-    p.add_argument("--copies", type=int, default=50)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--tenure-min", dest="tenure_min", type=int, default=None)
-    p.add_argument("--tenure-max", dest="tenure_max", type=int, default=None)
-    _add_pce_flags(p)
+    p = sub.add_parser(
+        "warm-start", help="variational seeds feeding memetic tabu", parents=[run, tabu, pce]
+    )
+    p.add_argument("--pce-runs", type=int)
+    p.add_argument("--copies", dest="population_copies", type=int)
     p.set_defaults(fn=cmd_warm_start)
 
     p = sub.add_parser("bench", help="run a campaign from a config file")

@@ -233,19 +233,17 @@ def _scan_candidates(
 ) -> np.ndarray:
     """All codes whose symplectic parity against every accepted pair is ``want``.
 
-    Chunked so the intermediate arrays stay small; accepted codes are
-    excluded from the result.
+    Chunked so that a chunk scores at most 2^16 (code, pair) cells and the
+    intermediate arrays stay small; accepted codes are excluded from the
+    result.
     """
     total = 1 << (2 * n)
     taken = {_code(x, z, n) for x, z in accepted}
     keep_chunks = []
-    chunk = 1 << 16
+    chunk = (1 << 16) // max(1, len(accepted))
     for start in range(1, total, chunk):
         codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        ok = np.ones(codes.size, dtype=bool)
-        for x_mask, z_mask in accepted:
-            ok &= _sym_parity_array(codes, x_mask, z_mask, n) == want
-        good = codes[ok]
+        good = codes[_score_candidates(n, accepted, want, codes) == len(accepted)]
         if taken:
             good = good[~np.isin(good, np.fromiter(taken, dtype=np.int64))]
         if good.size:

@@ -335,9 +335,8 @@ class EvalCounter:
     each reference level.
 
     Every solver builds one and hands it to its loops; the warm start
-    passes the same one through every phase.  ``budget`` and ``evals``
-    are plain attributes because the tabu probe loop reads them on every
-    move.
+    passes the same one through every phase.  It bills every evaluation:
+    ``tick`` one step at a time, ``observe_run`` a run of them.
     """
 
     def __init__(self, n: int, references: EnergyReferences | None, budget: int | None = None):
@@ -361,16 +360,20 @@ class EvalCounter:
     def exhausted(self) -> bool:
         return self.budget is not None and self.evals >= self.budget
 
-    def limit(self) -> int | None:
+    @property
+    def done(self) -> bool:
+        return self.exhausted or self.evals_to_exact is not None
+
+    def limit(self) -> float:
         """The largest energy whose observation could change any recorded
-        state (improve the best or trigger a counter); None before the
+        state (improve the best or trigger a counter); infinite before the
         first observation, when every energy could.
 
         Observing can only lower it: the best energy falls and reference
         levels retire once they fire.
         """
         if self.best_energy is None:
-            return None
+            return math.inf
         fired = (self.evals_to_exact, self.evals_to_first, self.evals_to_second)
         pending = [
             level
@@ -379,14 +382,30 @@ class EvalCounter:
         ]
         return max([self.best_energy - 1, *pending])
 
-    def interested(self, energy: int) -> bool:
-        """Whether observing this energy could change any recorded state.
+    def observe_run(self, energies: np.ndarray, lowest, sequence_at) -> bool:
+        """Bill a run of consecutive evaluations in index order, up to the
+        budget; True when it must stop at the exact level or the budget.
 
-        Lets callers skip materializing candidate sequences for probes
-        that would neither improve the best nor trigger a counter.
+        Only entries at or below the limit, read again after each
+        observation, are observed, with ``sequence_at(i)`` building entry
+        i's sequence; none when ``lowest``, the least entry, is above it.
+        An exact crossing leaves ``evals`` at that evaluation.
         """
+        start, size = self.evals, len(energies)
+        count = size if self.budget is None else min(size, self.budget - start)
         limit = self.limit()
-        return limit is None or energy <= limit
+        if lowest <= limit:
+            # The limit only falls while entries are observed, so every entry
+            # that can fire is among these.
+            for i in (energies[:count] <= limit).nonzero()[0].tolist():
+                energy = int(energies[i])
+                if energy <= limit:
+                    if self.observe(sequence_at(i), energy, start + i + 1):
+                        self.evals = start + i + 1
+                        return True
+                    limit = self.limit()
+        self.evals = start + count
+        return count < size
 
     def observe(self, sequence: np.ndarray, energy: int, eval_index: int) -> bool:
         """Record one decoded sequence; True once the exact level is hit."""

@@ -122,7 +122,7 @@ def _tabu_core(
         # fire is among these; each is checked again in index order.
         for i in (energies[:count] <= counter.limit()).nonzero()[0].tolist():
             energy = int(energies[i])
-            if counter.interested(energy):
+            if energy <= counter.limit():
                 seq = ws.sequence
                 seq[i] = -seq[i]
                 if counter.observe(seq, energy, start + i + 1):

@@ -171,12 +171,13 @@ def test_memetic_matches_golden_records(case):
 def test_tabu_and_memetic_match_the_convolution_oracle(n, monkeypatch):
     """The flip-matrix workspace and the gated move loop give the records
     of the convolution workspace and the probe-everything loop
-    (``tests/tabu_oracle.py``).  Budget 17 cuts a move short, and
-    references make probes fire in the middle of a move."""
+    (``tests/tabu_oracle.py``).  Budget 4 ends the memetic run inside
+    its population of 6, budget 17 cuts a move short, and references make
+    probes fire in the middle of a move."""
     references = [None]
     if n <= 20:
         references.append(EnergyReferences.from_levels(exact_solve(n).level_energies))
-    cases = list(itertools.product(range(3), (17, 500, 20_000), references))
+    cases = list(itertools.product(range(3), (4, 17, 500, 20_000), references))
 
     def records():
         out = []
@@ -283,6 +284,19 @@ def test_memetic_solves_from_random_population():
     result = memetic_tabu(13, pop, MemeticConfig(seed=5), refs)
     assert result.best_energy == 6
     assert result.solver == "memetic-tabu"
+
+
+@pytest.mark.parametrize("budget", [1, 4, 5])
+def test_memetic_budget_inside_the_population(budget):
+    """A budget smaller than the population scores only its first members
+    and runs no generation."""
+    population = list(np.random.default_rng(3).choice([-1, 1], (6, 13)))
+    result = memetic_tabu(13, population, MemeticConfig(eval_budget=budget, seed=1))
+    scored = population[:budget]
+    best = min(scored, key=sidelobe_energy)
+    assert (result.total_evals, result.restarts_used) == (budget, 0)
+    assert result.best_energy == sidelobe_energy(best)
+    assert np.array_equal(result.best_sequence, canonicalize(best))
 
 
 def test_memetic_deterministic():

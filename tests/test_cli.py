@@ -357,9 +357,18 @@ MALFORMED_DOCUMENTS = {
     "ks-records-missing-fields": (
         ["ks", "--b", "{sample}", "--a"], '{"solver": "pce", "n": 13}\n' * 2
     ),
+    "ks-null-in-the-sample": (["ks", "--b", "{sample}", "--a"], "[1, 2, null]"),
+    "ks-array-in-the-sample": (["ks", "--b", "{sample}", "--a"], "[1, [2]]"),
+    "ks-string-in-the-sample": (["ks", "--b", "{sample}", "--a"], '["1.5"]'),
+    "ks-bool-in-the-sample": (["ks", "--b", "{sample}", "--a"], "[true]"),
     "tune-number-for-a-sample": (["tune", "--samples"], '{"1": 5, "2": [1.0, 2.0]}'),
+    "tune-null-in-a-sample": (["tune", "--samples"], '{"1": [1, null], "2": [1, 2]}'),
+    "tune-bool-in-a-sample": (["tune", "--samples"], '{"1": [1, false], "2": [1, 2]}'),
     "crossover-array-for-b": (
         ["crossover", "--classical", "{fit}", "--quantum"], '{"b": [1], "c": 1.0}'
+    ),
+    "crossover-bool-for-c": (
+        ["crossover", "--classical", "{fit}", "--quantum"], '{"b": 1.3, "c": true}'
     ),
 }
 

@@ -175,6 +175,26 @@ def test_score_candidates_matches_per_string_loop(want, rng):
     np.testing.assert_array_equal(_score_candidates(n, accepted, want, codes), loop)
 
 
+@pytest.mark.parametrize("want", [0, 1])
+@pytest.mark.parametrize("n, distinct, pairs", [(2, 2, 2), (3, 2, 3), (4, 3, 5), (5, 3, 100)])
+def test_scan_candidates_matches_per_string_loop(n, distinct, pairs, want, rng):
+    """The scan keeps, in code order, every string but the accepted ones
+    whose parity against each accepted string is ``want``.  The 100 pairs
+    at N = 5 repeat 3 strings, so the scan spans two chunks and still
+    finds strings."""
+    strings = [(int(x), int(z)) for x, z in rng.integers(0, 1 << n, (distinct, 2)) if x or z]
+    accepted = [strings[i] for i in rng.integers(len(strings), size=pairs)]
+    loop = []
+    for code in range(1, 1 << (2 * n)):
+        x, z = code >> n, code & ((1 << n) - 1)
+        parities = [(bin(x & zm).count("1") + bin(z & xm).count("1")) % 2 for xm, zm in accepted]
+        if (x, z) not in accepted and all(p == want for p in parities):
+            loop.append(code)
+    assert pauli_algebra._scan_candidates(n, accepted, want).tolist() == loop
+    if n == 5:
+        assert loop
+
+
 def grown(grow, n, count, seed, mode):
     """A sampler's set (or the error it raised) and the next draw after it."""
     rng = np.random.default_rng(seed)

@@ -1,6 +1,7 @@
 import importlib.util
 import itertools
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -457,13 +458,15 @@ def test_interested_tracks_pending_levels():
     refs = EnergyReferences(exact=6, first=14, second=18)
     c = EvalCounter(13, refs)
     seq = np.ones(13, dtype=np.int8)
-    assert c.interested(100)  # anything beats an unset best
+    assert c.limit() == math.inf  # anything beats an unset best
     c.observe(seq, 20, 1)
-    assert not c.interested(25)
-    assert c.interested(18)
+    assert c.limit() == 19  # the best, or the second level, can still move
     c.observe(seq, 18, 2)
-    assert not c.interested(18)  # second already fired, not an improvement
-    assert c.interested(14)
+    assert c.limit() == 17  # second already fired; 18 is no improvement
+    c.observe(seq, 14, 3)
+    assert c.limit() == 13
+    c.observe(seq, 6, 4)
+    assert c.limit() == 5  # every level fired: only the best can move
 
 
 def interested_reference(c, energy):
@@ -495,8 +498,65 @@ def test_limit_agrees_with_interested(refs):
         limit = c.limit()
         for energy in range(2 * 10 + 1):
             expected = interested_reference(c, energy)
-            assert (limit is None or energy <= limit) == expected, (best, fired, energy)
-            assert c.interested(energy) == expected, (best, fired, energy)
+            assert (energy <= limit) == expected, (best, fired, energy)
+
+
+def run_observer(counter, energies):
+    """``observe_run`` on ``energies``, entry i's sequence all i; returns
+    its answer and the entries whose sequence it built."""
+    built = []
+
+    def sequence_at(i):
+        built.append(i)
+        return np.full(13, i, dtype=np.int64)
+
+    energies = np.asarray(energies, dtype=np.float64)
+    return counter.observe_run(energies, energies.min(), sequence_at), built
+
+
+def test_observe_run_bills_up_to_the_budget():
+    c = EvalCounter(13, None, budget=5)
+    c.observe(np.ones(13, dtype=np.int8), 50, c.tick())
+    # Four evaluations are left: the 30 lies past the budget.
+    assert run_observer(c, [60, 55, 40, 45, 30]) == (True, [2])
+    assert c.evals == 5 and c.exhausted
+    assert c.best_energy == 40
+    assert np.array_equal(c.best_sequence, np.full(13, 2))
+    assert run_observer(c, [1, 2]) == (True, [])  # nothing left to bill
+    assert c.evals == 5
+
+
+def test_observe_run_stops_at_the_exact_crossing():
+    refs = EnergyReferences(exact=10, first=14, second=18)
+    c = EvalCounter(13, refs, budget=100)
+    c.observe(np.ones(13, dtype=np.int8), 30, c.tick())
+    assert run_observer(c, [40, 17, 9, 8, 12]) == (True, [1, 2])
+    assert c.evals == 4  # the crossing, not the end of the run
+    assert (c.evals_to_second, c.evals_to_first, c.evals_to_exact) == (3, 4, 4)
+    assert c.best_energy == 9 and c.done
+
+
+def test_observe_run_builds_only_entries_at_or_below_the_limit():
+    refs = EnergyReferences(exact=6, first=14, second=18)
+    c = EvalCounter(13, refs)
+    c.observe(np.ones(13, dtype=np.int8), 20, c.tick())
+    # 19 is below the limit when it is seen; the 19 after it is no
+    # improvement and no level, and neither is the 20.  The 18 fires the
+    # second level, and the 15 improves the best.
+    assert run_observer(c, [25, 19, 19, 20, 18, 21, 15]) == (False, [1, 4, 6])
+    assert c.evals == 8
+    assert (c.best_energy, c.evals_to_second, c.evals_to_first) == (15, 6, None)
+    assert np.array_equal(c.best_sequence, np.full(13, 6))
+    # A run wholly above the limit is billed without building anything.
+    assert run_observer(c, [30, 16, 40]) == (False, [])
+    assert c.evals == 11
+
+
+def test_observe_run_observes_the_first_entry_of_a_fresh_counter():
+    c = EvalCounter(13, None)
+    assert c.limit() == math.inf
+    assert run_observer(c, [7, 9, 5, 5]) == (False, [0, 2])
+    assert (c.evals, c.best_energy, c.done) == (4, 5, False)
 
 
 @pytest.mark.parametrize("count_gradient_evals", [False, True])
