@@ -5,7 +5,9 @@ Run from the root of a checkout:
 
     python3 scripts/bench_snapshot.py --out BENCH_snapshot.json --parent ../other/src
 
-Each workload runs once as ``perfbench/run.py --trace 0``.  A part is a
+``--part NAME``, given once or more, runs only the workloads and parts of
+those names (``exact`` names both); without it everything runs.  Each
+workload runs once as ``perfbench/run.py --trace 0``.  A part is a
 job script and a list of jobs; ``alternate`` runs each job once on every
 variant, in fresh single-threaded processes, alternating which goes first.
 The variants are this checkout (``checkout``) and, with ``--parent``, the
@@ -268,12 +270,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--part", action="append", help="a workload or part to run; repeatable")
     args = parser.parse_args(argv)
-
-    doc = {"environment": environment(), "perfbench": {}}
-    for workload in WORKLOADS:
-        doc["perfbench"][workload] = run_workload(workload, args.seed, args.seconds)
-        print(f"{workload}: {doc['perfbench'][workload]['metrics']}", file=sys.stderr)
 
     # A slice job's last argument sets LOCKSTEP_ROWS; 0 keeps the checkout's.
     checkouts = {"checkout": (ROOT / "src",)}
@@ -296,10 +294,20 @@ def main(argv=None) -> int:
         ),
         "exact": (EXACT_SIZES, exact_jobs, EXACT_RUN, checkouts, "result", lambda run: {}),
     }
+    chosen = set(args.part or (*WORKLOADS, *parts))
+    if chosen - set(WORKLOADS) - set(parts):
+        parser.error(f"unknown parts {sorted(chosen - set(WORKLOADS) - set(parts))}")
+
+    doc = {"environment": environment(), "perfbench": {}}
+    for workload in [w for w in WORKLOADS if w in chosen]:
+        doc["perfbench"][workload] = run_workload(workload, args.seed, args.seconds)
+        print(f"{workload}: {doc['perfbench'][workload]['metrics']}", file=sys.stderr)
     for name, (config, jobs, script, variants, result, fields) in parts.items():
+        if name not in chosen:
+            continue
         runs = alternate(name, script, jobs, variants, result, fields)
         doc[name] = {"config": config, "runs": runs, **summarize(runs, variants)}
-    for n in CAMPAIGN_RUNS:
+    for n in CAMPAIGN_RUNS if "campaign" in doc else ():
         runs = [run for run in doc["campaign"]["runs"] if run["N"] == n]
         doc["campaign"][f"N{n}"]["hits_inside_a_batch"] = sum(
             run["hit"] and run["position_in_batch"] > 0 for run in runs

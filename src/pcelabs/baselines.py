@@ -51,6 +51,7 @@ EXACT_LIMIT = 32
 # thread: 12 and 13 tie, and 10, 11 and 14 are 10-60% slower.
 EXACT_BLOCK_BITS = 12
 _NO_MOVE = np.inf  # masks tabu flips out of the argmin
+_TENURE_BLOCK = 1024  # the most tenures one draw takes; a walk stagnates sooner
 
 
 @dataclass
@@ -225,40 +226,59 @@ def _tabu_core(
     Each move probes all N single flips in index order (one evaluation
     each, counters firing on probe values), then commits the best
     non-tabu flip, where a tabu flip is allowed if it would improve the
-    global best.  Ties break toward the lowest index.
+    global best.  Ties break toward the lowest index.  Tenures are drawn
+    in blocks; every exit rewinds the generator and advances it by the
+    draws used, where one draw per move leaves it (int64 block and scalar
+    draws are one stream).
     """
     def flipped(i: int) -> np.ndarray:
         seq = ws.sequence
         seq[i] = -seq[i]
         return seq
 
+    low, high = tenure[0], tenure[1] + 1
+    block = min(stagnation_limit, max_moves or stagnation_limit, _TENURE_BLOCK)
+    bitgen = rng.bit_generator
+    saved, tenures, used = None, [], 0
     tabu_until = np.zeros(ws.n, dtype=np.int64)
+    energy = ws.energy
     move = 0
     since_improvement = 0
-    while since_improvement < stagnation_limit:
-        if max_moves is not None and move >= max_moves:
-            return
-        move += 1
-        deltas = ws.propose_all()
-        energies = ws.energy + deltas
-        best_idx = int(deltas.argmin())
-        # When even the best flip lands above the counter's limit, no probe
-        # can fire, and the counter bills the move without a probe scan.
-        if counter.observe_run(energies, energies[best_idx], flipped):
-            return
-        if tabu_until[best_idx] > move:
-            # Unless the best flip is tabu it is the move: argmin breaks ties
-            # toward the lowest index, as the masked argmin would.
-            # tenure_max < N: at least one flip is free of tabu.
-            allowed = (tabu_until <= move) | (energies < counter.best_energy)
-            best_idx = int(np.where(allowed, deltas, _NO_MOVE).argmin())
-        previous_best = counter.best_energy
-        ws.commit(best_idx)
-        tabu_until[best_idx] = move + int(rng.integers(tenure[0], tenure[1] + 1))
-        if ws.energy < previous_best:
-            since_improvement = 0
-        else:
-            since_improvement += 1
+    try:
+        while since_improvement < stagnation_limit:
+            if max_moves is not None and move >= max_moves:
+                return
+            move += 1
+            deltas = ws.propose_all()
+            best_idx = int(deltas.argmin())
+            lowest = energy + int(deltas[best_idx])
+            # When even the best flip lands above the counter's limit, no
+            # probe can fire, and the counter bills the move without a scan.
+            if counter.observe_run(deltas, lowest, flipped, energy):
+                return
+            if tabu_until[best_idx] > move:
+                # Unless the best flip is tabu it is the move: argmin breaks
+                # ties toward the lowest index, as the masked argmin would.
+                # tenure_max < N: at least one flip is free of tabu.
+                tabu = tabu_until > move
+                if lowest < counter.best_energy:  # else no flip can aspire
+                    tabu &= deltas >= counter.best_energy - energy
+                np.putmask(deltas, tabu, _NO_MOVE)
+                best_idx = int(deltas.argmin())
+            previous_best = counter.best_energy
+            energy = ws.commit(best_idx, deltas[best_idx])
+            if used == len(tenures):
+                saved, tenures, used = bitgen.state, rng.integers(low, high, block).tolist(), 0
+            tabu_until[best_idx] = move + tenures[used]
+            used += 1
+            if energy < previous_best:
+                since_improvement = 0
+            else:
+                since_improvement += 1
+    finally:
+        if used < len(tenures):
+            bitgen.state = saved
+            rng.integers(low, high, used)
 
 
 def tabu_search(
@@ -389,8 +409,7 @@ def _tournament(
     members: list[np.ndarray], energies: np.ndarray, size: int, rng: np.random.Generator
 ) -> np.ndarray:
     picks = rng.integers(len(members), size=max(1, size))
-    best = min(picks, key=lambda i: energies[i])
-    return members[best]
+    return members[picks[energies[picks].argmin()]]
 
 
 def _crossover(a: np.ndarray, b: np.ndarray, rng: np.random.Generator) -> np.ndarray:

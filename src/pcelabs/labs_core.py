@@ -172,13 +172,16 @@ class FlipWorkspace:
     (C_1 .. C_{N-1}, 1).  ``propose_all`` is then one matrix-vector
     product.  The matrix, the vector and the spins share one float64
     buffer, and ``commit`` moves the O(N) entries that contain the
-    flipped spin in one scatter, so a tabu move costs a constant number
-    of numpy calls.
+    flipped spin in one scatter; handed the flip's proposed delta, it
+    adds that to the energy rather than recompute C.C.  So a tabu move
+    costs a constant number of numpy calls.
     """
 
     def __init__(self, x: np.ndarray):
-        x = as_spin_array(x)
+        x = np.asarray(x)
         n = x.size
+        if x.ndim != 1 or n < MIN_LENGTH or not ((x == 1) | (x == -1)).all():
+            raise ValueError(f"expected a 1-d sequence of at least {MIN_LENGTH} entries, each -1 or +1")
         plus, minus, self._plan = _flip_plan(n)
         self._buf = np.empty(n * n + 2 * n + 1)  # flip matrix | C_1 .. C_{N-1}, 1 | x | 0
         self._m = self._buf[: n * n].reshape(n, n)
@@ -188,7 +191,7 @@ class FlipWorkspace:
         self._x[:] = x
         self._buf[-1] = 0
         self._v[-1] = 1
-        self._c[:] = np.correlate(x, x, "full")[n:]  # autocorrelations(x); x is checked
+        self._c[:] = np.correlate(self._x, self._x, "full")[n:]  # autocorrelations(x)
         pair = self._buf[plus] + self._buf[minus]  # d_l(r) = x_r pair[r, l - 1]
         np.multiply(pair, -4 * self._x[:, None], out=self._m[:, :-1])
         self._m[:, -1] = 4 * np.einsum("ij,ij->i", pair, pair)
@@ -216,7 +219,7 @@ class FlipWorkspace:
         """
         return self._m @ self._v
 
-    def commit(self, i: int) -> int:
+    def commit(self, i: int, delta: float | None = None) -> int:
         """Flip ``x[i]``, update the caches, and return the new energy.
 
         Half of row i's lag entries turns C_l into C_l - 2 d_l(i), and
@@ -224,11 +227,12 @@ class FlipWorkspace:
         l = |r - i| contains x_i: -4 d_l(r) moves by 8 x_r x_i, and
         4 d_l(r)^2 by -16 x_i x_s when the mirror position s = 2r - i is in
         range (x_i is the old spin).  All of it, and the flip itself, is
-        one gather and one scatter over the buffer.
+        one gather and one scatter over the buffer.  ``delta``, entry i of
+        the last ``propose_all``, is exact; without it C.C is recomputed.
         """
         dst, src, up, down = self._plan[i]
         self._buf[dst] += (up if self._x[i] > 0 else down) * self._buf[src]
-        self._energy = int(self._c @ self._c)
+        self._energy = int(self._c @ self._c) if delta is None else self._energy + int(delta)
         return self._energy
 
 

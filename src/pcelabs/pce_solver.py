@@ -374,22 +374,23 @@ class EvalCounter:
         """
         if self.best_energy is None:
             return math.inf
-        fired = (self.evals_to_exact, self.evals_to_first, self.evals_to_second)
-        pending = [
-            level
-            for level, hit in zip(self.references or (), fired)
-            if level is not None and hit is None
-        ]
-        return max([self.best_energy - 1, *pending])
+        limit = self.best_energy - 1
+        if self.references is not None:
+            fired = (self.evals_to_exact, self.evals_to_first, self.evals_to_second)
+            for level, hit in zip(self.references, fired):
+                if hit is None and level is not None and level > limit:
+                    limit = level
+        return limit
 
-    def observe_run(self, energies: np.ndarray, lowest, sequence_at) -> bool:
+    def observe_run(self, energies: np.ndarray, lowest, sequence_at, base: int = 0) -> bool:
         """Bill a run of consecutive evaluations in index order, up to the
         budget; True when it must stop at the exact level or the budget.
 
-        Only entries at or below the limit, read again after each
-        observation, are observed, with ``sequence_at(i)`` building entry
-        i's sequence; none when ``lowest``, the least entry, is above it.
-        An exact crossing leaves ``evals`` at that evaluation.
+        Entry i is ``base + energies[i]`` (a tabu move passes deltas and
+        its energy).  Only entries at or below the limit, read again after
+        each observation, are observed, with ``sequence_at(i)`` building
+        entry i's sequence; none, and no array, when ``lowest``, the least
+        entry, is above it.  An exact crossing leaves ``evals`` there.
         """
         start, size = self.evals, len(energies)
         count = size if self.budget is None else min(size, self.budget - start)
@@ -397,8 +398,8 @@ class EvalCounter:
         if lowest <= limit:
             # The limit only falls while entries are observed, so every entry
             # that can fire is among these.
-            for i in (energies[:count] <= limit).nonzero()[0].tolist():
-                energy = int(energies[i])
+            for i in (energies[:count] <= limit - base).nonzero()[0].tolist():
+                energy = base + int(energies[i])
                 if energy <= limit:
                     if self.observe(sequence_at(i), energy, start + i + 1):
                         self.evals = start + i + 1

@@ -18,8 +18,8 @@ from pcelabs.baselines import (
     tabu_search,
 )
 from pcelabs.bench import reference_levels
-from pcelabs.labs_core import canonicalize, parse_sequence, sidelobe_energy
-from pcelabs.pce_solver import EnergyReferences, PceConfig
+from pcelabs.labs_core import FlipWorkspace, canonicalize, parse_sequence, sidelobe_energy
+from pcelabs.pce_solver import EnergyReferences, EvalCounter, PceConfig
 
 BARKER_13 = parse_sequence("+++++--++-+-+")
 GOLDEN = json.loads((Path(__file__).parent / "data" / "tabu_golden.json").read_text())
@@ -193,6 +193,52 @@ def test_tabu_and_memetic_match_the_convolution_oracle(n, monkeypatch):
     monkeypatch.setattr(baselines, "FlipWorkspace", tabu_oracle.FlipWorkspace)
     monkeypatch.setattr(baselines, "_tabu_core", tabu_oracle._tabu_core)
     assert ours == records()
+
+
+BLOCK = baselines._TENURE_BLOCK
+
+
+@pytest.mark.parametrize(
+    "budget, stagnation, max_moves, exact",
+    [
+        pytest.param(10**7, BLOCK + 76, None, None, id="stagnation"),
+        pytest.param(10**7, 3 * BLOCK, BLOCK + 76, None, id="max_moves"),
+        pytest.param(5_000, 3 * BLOCK, None, None, id="budget"),
+        pytest.param(10**7, 3 * BLOCK, None, 6, id="exact"),
+    ],
+)
+@pytest.mark.parametrize("seed", range(3))
+def test_tabu_core_leaves_the_generator_where_one_draw_per_move_does(
+    budget, stagnation, max_moves, exact, seed
+):
+    """Tenures are drawn in blocks, and every exit of ``_tabu_core`` must
+    leave the generator where the oracle's one draw per move leaves it:
+    the same state and the same next ``random()``.
+    Each walk at N = 13 ends inside a block: past the first one for the
+    stagnation and move-cap exits, cut by the budget, or at the exact
+    level."""
+    n = 13
+    refs = None if exact is None else EnergyReferences(exact)
+
+    def walk(workspace, core):
+        rng = np.random.default_rng(seed)
+        ws = workspace(np.random.default_rng([seed, n]).choice([-1, 1], n))
+        counter = EvalCounter(n, refs, budget)
+        counter.observe(ws.sequence, ws.energy, counter.tick())
+        core(ws, counter, rng, TabuConfig().resolved_tenure(n), stagnation, max_moves)
+        state = (counter.evals, counter.best_energy, counter.evals_to_exact, ws.sequence.tolist())
+        # The state holds PCG64's buffered half word, which random() skips.
+        return rng.bit_generator.state, rng.random(), state
+
+    ours = walk(FlipWorkspace, baselines._tabu_core)
+    assert ours == walk(tabu_oracle.FlipWorkspace, tabu_oracle._tabu_core)
+    evals, _, hit, _ = ours[2]
+    if exact is not None:
+        assert hit is not None and hit < 1 + n * BLOCK
+    elif budget < 10**7:
+        assert evals == budget
+    else:
+        assert evals == 1 + n * (BLOCK + 76)
 
 
 @pytest.mark.parametrize(

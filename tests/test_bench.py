@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -248,6 +249,53 @@ def test_bench_snapshot_flags_a_variant_with_another_result(tmp_path):
     assert not rows[0]["identical"]
     assert not snapshot.summarize(rows, variants)["N5"]["identical"]
     assert snapshot.exit_code({"environment": {}, "exact": {"runs": rows}}) == 1
+
+
+def test_bench_snapshot_runs_only_the_parts_named(monkeypatch, tmp_path):
+    snapshot = load_bench_snapshot()
+    ran = []
+    monkeypatch.setattr(snapshot, "run_workload", lambda w, *args: ran.append(w) or {"metrics": {}})
+    monkeypatch.setattr(snapshot, "alternate", lambda name, *args: ran.append(name) or [])
+    monkeypatch.setattr(snapshot, "summarize", lambda runs, variants: {})
+    out = tmp_path / "snapshot.json"
+    assert snapshot.main(["--out", str(out), "--part", "tabu", "--part", "tabu_campaign"]) == 0
+    assert ran == ["tabu", "tabu_campaign"]
+    assert set(json.loads(out.read_text())) == {"environment", "perfbench", "tabu_campaign"}
+    ran.clear()
+    with pytest.raises(SystemExit):
+        snapshot.main(["--out", str(out), "--part", "tabu", "--part", "annealer"])
+    assert ran == []
+
+
+def run_ab(parent: Path, *args: str) -> tuple[int, dict]:
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "ab.py"), "--parent", str(parent), *args],
+        capture_output=True,
+        text=True,
+    )
+    return proc.returncode, json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_ab_reads_a_tree_against_itself():
+    code, summary = run_ab(REPO / "src", "--workload", "tabu", "--rounds", "2")
+    assert code == 0 and summary["records_identical"]
+    assert summary["rounds"] == 2 and summary["change_won"] + summary["parent_won"] <= 2
+    low, high = summary["round_ratio_interval"]
+    assert low <= summary["round_ratio"] <= high
+
+
+def test_ab_flags_a_tree_with_other_records(tmp_path):
+    """The parent is a copy of ``src`` whose tabu runs give the solver
+    another name: ``ab.py`` must run each tree's own code and exit 1."""
+    shutil.copytree(
+        REPO / "src" / "pcelabs", tmp_path / "pcelabs", ignore=shutil.ignore_patterns("__pycache__")
+    )
+    path = tmp_path / "pcelabs" / "baselines.py"
+    text = path.read_text()
+    assert 'counter.result("tabu",' in text
+    path.write_text(text.replace('counter.result("tabu",', 'counter.result("tabu-copy",'))
+    code, summary = run_ab(tmp_path, "--workload", "tabu", "--rounds", "1")
+    assert code == 1 and not summary["records_identical"]
 
 
 def test_campaign_solver_validation():

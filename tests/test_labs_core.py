@@ -85,6 +85,27 @@ def test_propose_all_matches_single_proposals(x):
     )
 
 
+@pytest.mark.parametrize(
+    "x",
+    [[[1, -1, 1]], [1, -1], [], [1, 0, -1], [1, 2, -1], [1, -1, 0.5], [1.0, -1.0, np.nan]],
+    ids=["2-d", "two-entries", "empty", "zero", "two", "half", "nan"],
+)
+def test_workspace_rejects_what_is_not_a_spin_sequence(x):
+    with pytest.raises(ValueError):
+        FlipWorkspace(np.array(x))
+
+
+@given(spins(max_size=16), st.lists(st.integers(0, 1000), min_size=1, max_size=30))
+def test_commit_with_the_proposed_delta_matches_a_recomputed_energy(x, moves):
+    """``commit(i, delta)`` adds the proposed delta; ``commit(i)``
+    recomputes C.C.  Both return and keep the same energy."""
+    carried, recomputed = FlipWorkspace(x), FlipWorkspace(x)
+    for raw in moves:
+        i = raw % x.size
+        assert carried.commit(i, carried.propose_all()[i]) == recomputed.commit(i)
+        assert carried.energy == recomputed.energy == sidelobe_energy(carried.sequence)
+
+
 @given(spins(max_size=16), st.lists(st.integers(0, 1000), min_size=1, max_size=30))
 @example(np.array([1, -1, 1]), [0, 2, 2, 1, 0])
 @example(np.array([1, 1, -1, 1]), [3, 0, 1, 3, 2, 0])
