@@ -46,9 +46,10 @@ __all__ = [
 ]
 
 EXACT_LIMIT = 32
-# exact_solve builds blocks of 2^EXACT_BLOCK_BITS rows and scores about half of
-# each.  Re-measured with the half-size blocks at N = 24 and 28 on one BLAS
-# thread: 12 and 13 tie, and 10, 11 and 14 are 10-60% slower.
+# exact_solve walks blocks of 2^EXACT_BLOCK_BITS rows and scores about half of
+# each.  Measured on the Gray-code walk at N = 24 and 28 on one BLAS thread:
+# 13 is about 15% faster than 12 with twice the block memory, and 11 and 14
+# are 30-45% slower.
 EXACT_BLOCK_BITS = 12
 _NO_MOVE = np.inf  # masks tabu flips out of the argmin
 _TENURE_BLOCK = 1024  # the most tenures one draw takes; a walk stagnates sooner
@@ -90,13 +91,16 @@ def exact_solve(N: int, levels: int = 3) -> ExactResult:
     The last k free positions are the low block, which runs over the 2^k
     rows of a block; the other positions are the high block h, fixed per
     block.  Then C = T + G M_h + c_h: T is the low block's own
-    autocorrelations (a 2^k x (N-1) table built once), G its spins,
-    M_h[j, l] = h[p_j + l] + h[p_j - l] = h[p_j - l] the cross terms with
-    the low spin at position p_j (p_j + l is never in h), and c_h the high
-    block's own autocorrelations.  c_h rides along as a row of M_h against
-    a column of ones in G, so a block is one float32 matmul and one
-    rowwise C.C.  Every partial sum and every energy is an integer below
-    2^24 (E <= N^3 / 3), so float32 is exact.
+    autocorrelations, G its spins, M_h[j, l] = h[p_j + l] + h[p_j - l] =
+    h[p_j - l] the cross terms with the low spin at position p_j (p_j + l
+    is never in h), and c_h the high block's own autocorrelations.
+    T + G M_h is kept lag-major, (N-1) x 2^k, and built once, by one
+    matmul, for the first block.  The blocks run in Gray-code order, so
+    the next block flips one high spin x_p, which moves lags high-p ..
+    N-1-p by -2 x_p G^T: one in-place add per block.  A block's energies
+    are ones.(T + G M_h)^2 + 2 c_h.(T + G M_h) + c_h.c_h, one float32
+    gemv.  Every partial sum and every energy is an integer below 2^24
+    (E <= N^3 / 3), so float32 is exact in any order.
 
     The pair member to score is chosen by a key, positions 2 .. m+1 with
     m = min(high, k) - 2: in x they are the low m bits of the block index,
@@ -124,30 +128,36 @@ def exact_solve(N: int, levels: int = 3) -> ExactResult:
         key |= ((rows >> (k - 3 - j) ^ rows >> (k - 1 - j % 2)) & 1) << j
     rows = np.argsort(key, kind="stable")  # the rows in key order
     starts = np.searchsorted(key[rows], np.arange(1 << m))
-    low = (1 - 2 * ((rows[:, None] >> np.arange(k)) & 1)).astype(np.float32)
-    table = np.zeros((rows.size, N - 1), dtype=np.float32)
+    spins = (1 - 2 * ((rows >> np.arange(k)[:, None]) & 1)).astype(np.float32)  # G^T
+    gap = np.arange(1, N)[:, None] - np.arange(k)  # lag minus low position
+    # Rows 0 .. N-2 hold T + G M_h lag-major, rows N-1 .. 2N-3 its squares.
+    both = np.empty((2 * (N - 1), rows.size), dtype=np.float32)
+    corr, squares = both[: N - 1], both[N - 1 :]
+    np.matmul(((gap > 0) & (gap <= high)).astype(np.float32), spins, out=corr)  # all h = +1
     for lag in range(1, k):
-        table[:, lag - 1] = np.einsum("ij,ij->i", low[:, :-lag], low[:, lag:])
-    spins = np.hstack([low, np.ones((rows.size, 1), dtype=np.float32)])
-    source = high + np.arange(k)[:, None] - np.arange(1, N)
-    source[source < 0] = N  # reads the zero past the end
-    h = np.zeros(N + 1, dtype=np.float32)
-    h[:2] = 1
-    shifts = np.arange(high - 2)
-    weights = np.zeros((k + 1, N - 1), dtype=np.float32)
-    corr = np.empty((rows.size, N - 1), dtype=np.float32)
+        corr[lag - 1] += np.einsum("ij,ij->j", spins[:-lag], spins[lag:])
+    twice_spins = 2 * spins
+    h = np.ones(high, dtype=np.float32)
+    weights = np.zeros(2 * (N - 1), dtype=np.float32)  # (2 c_h, ones)
+    weights[N - 1 :] = 1
     pool = np.empty(0, dtype=np.float32)  # lowest distinct energies so far
     cutoff = np.inf
-    at_best: list[tuple[int, np.ndarray]] = []  # (block, rows) at pool[0]
-    for block in range(1 << (high - 2)):
+    at_best: list[tuple[np.ndarray, np.ndarray]] = []  # (h, rows) at pool[0]
+    for step in range(1 << (high - 2)):
+        block = step ^ step >> 1
+        if step:
+            p = 1 + (step & -step).bit_length()  # 2 + the flipped bit
+            if h[p] > 0:
+                corr[high - p - 1 : N - 1 - p] -= twice_spins
+            else:
+                corr[high - p - 1 : N - 1 - p] += twice_spins
+            h[p] = -h[p]
+        c_h = np.correlate(h, h, "full")[high:]
+        weights[: high - 1] = 2 * c_h
         start = starts[block & ((1 << m) - 1)]
-        h[2:high] = 1 - 2 * ((block >> shifts) & 1)
-        weights[:k] = h[source]
-        weights[k, : high - 1] = np.correlate(h[:high], h[:high], "full")[high:]
-        scored = corr[start:]
-        np.matmul(spins[start:], weights, out=scored)
-        scored += table[start:]
-        energies = np.einsum("ij,ij->i", scored, scored)
+        np.square(corr[:, start:], out=squares[:, start:])
+        energies = weights @ both[:, start:]
+        energies += c_h @ c_h
         hits = np.flatnonzero(energies <= cutoff)
         if hits.size == 0:
             continue
@@ -158,12 +168,11 @@ def exact_solve(N: int, levels: int = 3) -> ExactResult:
         if pool.size == levels:
             cutoff = pool[-1]
         if found.min() == pool[0]:
-            at_best.append((block, start + hits[found == pool[0]]))
+            at_best.append((h.copy(), start + hits[found == pool[0]]))
     canonical: dict[tuple, np.ndarray] = {}
-    for block, hit_rows in at_best:
-        h[2:high] = 1 - 2 * ((block >> shifts) & 1)
+    for high_spins, hit_rows in at_best:
         for row in hit_rows:
-            canon = canonicalize(np.concatenate((h[:high], low[row])).astype(np.int64))
+            canon = canonicalize(np.concatenate((high_spins, spins[:, row])).astype(np.int64))
             canonical[tuple(canon)] = canon
     optima = sorted(canonical.values(), key=lambda s: tuple((1 - s) // 2))
     level_energies = [int(e) for e in pool]

@@ -62,7 +62,20 @@ def test_narrow_blocks_match_brute_force(n, bits, monkeypatch):
     assert {tuple(x) for x in result.canonical_optima} == optima
 
 
-@pytest.mark.parametrize("n", [25, 26])
+GRAY_WALK_CASES = [c for c in EXACT_GOLDEN["exact"] if 13 <= c["N"] <= 18 and c["levels"] == 3]
+
+
+@pytest.mark.parametrize("bits", [3, 5])
+@pytest.mark.parametrize("case", GRAY_WALK_CASES, ids=lambda c: f"N{c['N']}")
+def test_long_gray_walks_match_golden_results(case, bits, monkeypatch):
+    """Blocks of 2^3 or 2^5 rows give 2^6 to 2^13 blocks, and the reversal
+    key covers at most 3 high spins, so the Gray-code walk over the blocks
+    flips spins above the key as well as within it."""
+    monkeypatch.setattr(baselines, "EXACT_BLOCK_BITS", bits)
+    assert exact_solve(case["N"], case["levels"]).to_dict() == case["result"]
+
+
+@pytest.mark.parametrize("n", [25, 26, 29])
 def test_exact_levels_match_the_packaged_table(n):
     assert exact_solve(n).level_energies == reference_levels(n)
 
