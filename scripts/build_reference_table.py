@@ -1,6 +1,6 @@
 """Regenerate src/pcelabs/data/reference_energies.json.
 
-Levels for N <= 32 come from exhaustive enumeration.  Larger sizes get
+Levels for N <= 36 come from exhaustive enumeration.  Larger sizes get
 the best known optimum; for odd sizes within reach of skew-symmetric
 enumeration the script checks that a skew-symmetric sequence attains
 the tabled value.
@@ -17,9 +17,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from pcelabs.baselines import exact_solve
 
-ENUM_MAX = 32
+ENUM_MAX = 36
 
-# Best known sidelobe energies.  Entries up to 32 are checked against
+# Best known sidelobe energies.  Entries up to 36 are checked against
 # enumeration below; the rest are the published optimal values
 # (Packebusch & Mertens, arXiv:1512.02475).
 KNOWN_OPTIMA = {

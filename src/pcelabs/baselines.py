@@ -45,12 +45,15 @@ __all__ = [
     "pce_warm_start",
 ]
 
-EXACT_LIMIT = 32
+EXACT_LIMIT = 36
 # exact_solve walks blocks of 2^EXACT_BLOCK_BITS rows and scores about half of
-# each.  Measured on the Gray-code walk at N = 24 and 28 on one BLAS thread:
-# 13 is about 15% faster than 12 with twice the block memory, and 11 and 14
-# are 30-45% slower.
+# each.  Measured on the Gray-code walk at N = 28 on one BLAS thread: 11 and
+# 13 are 10-20% slower than 12, and 14 is twice as slow.
 EXACT_BLOCK_BITS = 12
+# exact_solve works out the high spins, c_h and weights of this many blocks
+# at a time, with a few vectorised calls; at N = 28, 2^6 to 2^10 time within
+# a few percent of each other, and 2^4 is about 15% slower.
+_EXACT_CHUNK = 1 << 8
 _NO_MOVE = np.inf  # masks tabu flips out of the argmin
 _TENURE_BLOCK = 1024  # the most tenures one draw takes; a walk stagnates sooner
 
@@ -95,12 +98,17 @@ def exact_solve(N: int, levels: int = 3) -> ExactResult:
     h[p_j - l] the cross terms with the low spin at position p_j (p_j + l
     is never in h), and c_h the high block's own autocorrelations.
     T + G M_h is kept lag-major, (N-1) x 2^k, and built once, by one
-    matmul, for the first block.  The blocks run in Gray-code order, so
-    the next block flips one high spin x_p, which moves lags high-p ..
-    N-1-p by -2 x_p G^T: one in-place add per block.  A block's energies
-    are ones.(T + G M_h)^2 + 2 c_h.(T + G M_h) + c_h.c_h, one float32
-    gemv.  Every partial sum and every energy is an integer below 2^24
-    (E <= N^3 / 3), so float32 is exact in any order.
+    matmul, for the first block, and so are its squares.  The blocks run
+    in Gray-code order, so the next block flips one high spin x_p, which
+    moves lags high-p .. N-1-p by -2 x_p G^T: one in-place add on those k
+    rows, and only they are squared again.  A block's energies are
+    ones.(T + G M_h)^2 + 2 c_h.(T + G M_h) + c_h.c_h, one float32 gemv over
+    the squares and the lags below high, where c_h is not zero, plus
+    c_h.c_h, which is added to the rows at or below the pool only.  The
+    high spins, (ones, 2 c_h) and c_h.c_h of _EXACT_CHUNK blocks at a time
+    come from a few vectorised calls.  Every partial sum and every energy is
+    an integer below 2^24 (E <= N^3 / 3), so float32 is exact in any
+    order.
 
     The pair member to score is chosen by a key, positions 2 .. m+1 with
     m = min(high, k) - 2: in x they are the low m bits of the block index,
@@ -109,8 +117,8 @@ def exact_solve(N: int, levels: int = 3) -> ExactResult:
     least key(x), so x is scored when key(R(x)) >= key(x), and R(x) when
     key(x) >= key(R(x)).  Only the rows at or below the running pool of
     lowest levels go on to be merged into it.  Memory is a few 2^k x N
-    float32 arrays whatever N is.  Refuses N beyond 32, where enumeration
-    stops being a desk job.
+    float32 arrays whatever N is.  Refuses N beyond 36, where enumeration
+    stops being a desk job (N = 36 walks 2^22 blocks).
     """
     if not 3 <= N <= EXACT_LIMIT:
         raise ValueError(f"exact enumeration supports 3 <= N <= {EXACT_LIMIT}")
@@ -130,45 +138,56 @@ def exact_solve(N: int, levels: int = 3) -> ExactResult:
     starts = np.searchsorted(key[rows], np.arange(1 << m))
     spins = (1 - 2 * ((rows >> np.arange(k)[:, None]) & 1)).astype(np.float32)  # G^T
     gap = np.arange(1, N)[:, None] - np.arange(k)  # lag minus low position
-    # Rows 0 .. N-2 hold T + G M_h lag-major, rows N-1 .. 2N-3 its squares.
+    # Rows 0 .. N-2 hold the squares of T + G M_h, rows N-1 .. 2N-3 T + G M_h
+    # itself, both lag-major.  c_h is zero from lag high on, so the gemv
+    # stops at row N-3+high and skips the last k lags of T + G M_h.
     both = np.empty((2 * (N - 1), rows.size), dtype=np.float32)
-    corr, squares = both[: N - 1], both[N - 1 :]
+    squares, corr = both[: N - 1], both[N - 1 :]
+    scored = both[: N - 2 + high]
     np.matmul(((gap > 0) & (gap <= high)).astype(np.float32), spins, out=corr)  # all h = +1
     for lag in range(1, k):
         corr[lag - 1] += np.einsum("ij,ij->j", spins[:-lag], spins[lag:])
+    np.square(corr, out=squares)
     twice_spins = 2 * spins
-    h = np.ones(high, dtype=np.float32)
-    weights = np.zeros(2 * (N - 1), dtype=np.float32)  # (2 c_h, ones)
-    weights[N - 1 :] = 1
+    blocks = 1 << (high - 2)
+    chunk = min(_EXACT_CHUNK, blocks)
+    weights = np.ones((chunk, scored.shape[0]), dtype=np.float32)  # rows (ones, 2 c_h)
+    c_h = weights[:, N - 1 :]
     pool = np.empty(0, dtype=np.float32)  # lowest distinct energies so far
     cutoff = np.inf
     at_best: list[tuple[np.ndarray, np.ndarray]] = []  # (h, rows) at pool[0]
-    for step in range(1 << (high - 2)):
-        block = step ^ step >> 1
-        if step:
-            p = 1 + (step & -step).bit_length()  # 2 + the flipped bit
-            if h[p] > 0:
-                corr[high - p - 1 : N - 1 - p] -= twice_spins
-            else:
-                corr[high - p - 1 : N - 1 - p] += twice_spins
-            h[p] = -h[p]
-        c_h = np.correlate(h, h, "full")[high:]
-        weights[: high - 1] = 2 * c_h
-        start = starts[block & ((1 << m) - 1)]
-        np.square(corr[:, start:], out=squares[:, start:])
-        energies = weights @ both[:, start:]
-        energies += c_h @ c_h
-        hits = np.flatnonzero(energies <= cutoff)
-        if hits.size == 0:
-            continue
-        found = energies[hits]
-        if pool.size == 0 or found.min() < pool[0]:
-            at_best = []
-        pool = np.union1d(pool, found)[:levels]
-        if pool.size == levels:
-            cutoff = pool[-1]
-        if found.min() == pool[0]:
-            at_best.append((h.copy(), start + hits[found == pool[0]]))
+    for first in range(0, blocks, chunk):
+        block = np.arange(first, first + chunk)
+        block ^= block >> 1
+        h = np.ones((chunk, high), dtype=np.float32)  # the blocks' high spins
+        h[:, 2:] -= 2 * (block[:, None] >> np.arange(high - 2) & 1)
+        for lag in range(1, high):
+            c_h[:, lag - 1] = np.einsum("ij,ij->i", h[:, :-lag], h[:, lag:])
+        own = np.einsum("ij,ij->i", c_h, c_h).tolist()  # c_h.c_h
+        c_h *= 2
+        start = starts[block & ((1 << m) - 1)].tolist()
+        for i, step in enumerate(range(first, first + chunk)):
+            if step:
+                p = 1 + (step & -step).bit_length()  # 2 + the flipped bit
+                moved = slice(high - p - 1, N - 1 - p)
+                if h[i, p] < 0:
+                    corr[moved] -= twice_spins
+                else:
+                    corr[moved] += twice_spins
+                np.square(corr[moved], out=squares[moved])
+            partial = weights[i] @ scored[:, start[i] :]
+            bound = cutoff - own[i]
+            if partial.min() > bound:
+                continue
+            hits = np.flatnonzero(partial <= bound)
+            found = partial[hits] + own[i]
+            if pool.size == 0 or found.min() < pool[0]:
+                at_best = []
+            pool = np.union1d(pool, found)[:levels]
+            if pool.size == levels:
+                cutoff = pool[-1]
+            if found.min() == pool[0]:
+                at_best.append((h[i].copy(), start[i] + hits[found == pool[0]]))
     canonical: dict[tuple, np.ndarray] = {}
     for high_spins, hit_rows in at_best:
         for row in hit_rows:

@@ -349,6 +349,7 @@ class EvalCounter:
         self.evals_to_exact: int | None = None
         self.evals_to_first: int | None = None
         self.evals_to_second: int | None = None
+        self._limit = math.inf  # limit(), kept up to date by observe
 
     def tick(self, cost: int = 1) -> int:
         """Spend ``cost`` evaluations; returns the 1-based index of the
@@ -370,7 +371,8 @@ class EvalCounter:
         first observation, when every energy could.
 
         Observing can only lower it: the best energy falls and reference
-        levels retire once they fire.
+        levels retire once they fire.  ``observe`` keeps a copy for
+        ``observe_run``; this computes it from the fields.
         """
         if self.best_energy is None:
             return math.inf
@@ -394,7 +396,7 @@ class EvalCounter:
         """
         start, size = self.evals, len(energies)
         count = size if self.budget is None else min(size, self.budget - start)
-        limit = self.limit()
+        limit = self._limit
         if lowest <= limit:
             # The limit only falls while entries are observed, so every entry
             # that can fire is among these.
@@ -404,26 +406,27 @@ class EvalCounter:
                     if self.observe(sequence_at(i), energy, start + i + 1):
                         self.evals = start + i + 1
                         return True
-                    limit = self.limit()
+                    limit = self._limit
         self.evals = start + count
         return count < size
 
     def observe(self, sequence: np.ndarray, energy: int, eval_index: int) -> bool:
         """Record one decoded sequence; True once the exact level is hit."""
-        if self.best_energy is None or energy < self.best_energy:
-            self.best_energy = energy
-            self.best_sequence = sequence.copy()
-        refs = self.references
-        if refs is None:
-            return False
-        if refs.second is not None and self.evals_to_second is None:
-            if energy <= refs.second:
-                self.evals_to_second = eval_index
-        if refs.first is not None and self.evals_to_first is None:
-            if energy <= refs.first:
-                self.evals_to_first = eval_index
-        if self.evals_to_exact is None and energy <= refs.exact:
-            self.evals_to_exact = eval_index
+        if energy <= self._limit:  # above it nothing changes
+            if self.best_energy is None or energy < self.best_energy:
+                self.best_energy = energy
+                self.best_sequence = sequence.copy()
+            refs = self.references
+            if refs is not None:
+                if refs.second is not None and self.evals_to_second is None:
+                    if energy <= refs.second:
+                        self.evals_to_second = eval_index
+                if refs.first is not None and self.evals_to_first is None:
+                    if energy <= refs.first:
+                        self.evals_to_first = eval_index
+                if self.evals_to_exact is None and energy <= refs.exact:
+                    self.evals_to_exact = eval_index
+            self._limit = self.limit()
         return self.evals_to_exact is not None
 
     def result(self, solver: str, seed: int, restarts_used: int) -> SolveResult:

@@ -75,6 +75,16 @@ def test_long_gray_walks_match_golden_results(case, bits, monkeypatch):
     assert exact_solve(case["N"], case["levels"]).to_dict() == case["result"]
 
 
+@pytest.mark.parametrize("n", [16, 19])
+def test_result_does_not_depend_on_block_width(n, monkeypatch):
+    """Every width from 3 to N - 2: one block up to 2^(N-5) blocks, so the
+    narrow widths walk many chunks of blocks."""
+    expected = exact_solve(n).to_dict()
+    for bits in range(3, n - 1):
+        monkeypatch.setattr(baselines, "EXACT_BLOCK_BITS", bits)
+        assert exact_solve(n).to_dict() == expected, bits
+
+
 @pytest.mark.parametrize("n", [25, 26, 29])
 def test_exact_levels_match_the_packaged_table(n):
     assert exact_solve(n).level_energies == reference_levels(n)

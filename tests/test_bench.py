@@ -66,7 +66,7 @@ def test_reference_levels_match_enumeration(n):
 
 def test_reference_levels_beyond_enumeration():
     assert reference_levels(45) == [118]
-    assert reference_levels(33) == [64]
+    assert reference_levels(37) == [86]
 
 
 def test_reference_levels_unknown_size():

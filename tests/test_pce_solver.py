@@ -501,6 +501,19 @@ def test_limit_agrees_with_interested(refs):
             assert (energy <= limit) == expected, (best, fired, energy)
 
 
+@pytest.mark.parametrize(
+    "refs",
+    [None, EnergyReferences(exact=10), EnergyReferences(exact=10, first=14, second=18)],
+)
+def test_observe_keeps_the_cached_limit_current(refs):
+    """``observe_run`` reads the limit that ``observe`` caches; after every
+    observation, firing or not, it must be what ``limit()`` computes."""
+    c = EvalCounter(13, refs)
+    for energy in [30, 25, 26, 19, 19, 18, 22, 15, 14, 16, 12, 10, 9, 11, 4, 4]:
+        c.observe(np.ones(13, dtype=np.int8), energy, c.tick())
+        assert c._limit == c.limit(), energy
+
+
 def run_observer(counter, energies):
     """``observe_run`` on ``energies``, entry i's sequence all i; returns
     its answer and the entries whose sequence it built."""
