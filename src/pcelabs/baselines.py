@@ -471,8 +471,11 @@ def pce_warm_start(
     """Short variational solves seeding a memetic tabu run.
 
     Runs ``warm.pce_runs`` independent short-budget variational solves,
-    copies the best decoded sequence ``warm.population_copies`` times as
-    the memetic starting population, and continues with memetic tabu.
+    fewer once the budget left is less than one billed step (one
+    evaluation, plus the gradient's 2P circuits when
+    ``count_gradient_evals`` is set), copies the best decoded sequence
+    ``warm.population_copies`` times as the memetic starting population,
+    and continues with memetic tabu.
     Every phase observes into one counter, so the counters end up on one
     shared time axis under ``mt_config.eval_budget``.  The run
     short-circuits as soon as the exact level triggers.
@@ -480,10 +483,13 @@ def pce_warm_start(
     if N < 3:
         raise ValueError("sequence length must be >= 3")
     counter = EvalCounter(N, references, mt_config.eval_budget)
+    step = 1 + (2 * pce_config.ansatz().param_count if pce_config.count_gradient_evals else 0)
     for run in range(warm.pce_runs):
         _descend(N, replace(pce_config, seed=_derive_seed(pce_config.seed, run)), counter)
         if counter.done:
             return counter.result("pce+memetic-tabu", pce_config.seed, run + 1)
+        if counter.evals + step > counter.budget:
+            break
     best = canonicalize(counter.best_sequence)
     population = [best.copy() for _ in range(warm.population_copies)]
     generations = _evolve(N, population, mt_config, counter)

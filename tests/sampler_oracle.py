@@ -1,29 +1,132 @@
-"""Reference Pauli set sampler, one candidate string per draw, and the
-commutation and mutually-unbiased-partition oracles.
+"""Reference Pauli set sampler, one rejected candidate string at a time, and
+the commutation and mutually-unbiased-partition oracles.
 
-``grow_set`` is the sampler ``pauli_algebra._grow_set`` replaced.  It
-draws each candidate with two scalar ``rng.integers`` calls and maps it
-to a string by a GF(2^n) product and a bit-matrix product, then tests it
-against the accepted strings one by one.  The block sampler must give
-the same set, raise the same errors and leave the generator in the same
-state.  ``mub_partition`` reads the classes out of the sampler's cached
-code table, so the tests can check the table's structure.
+``grow_set`` is the rejection sampler that ``pauli_algebra._grow_set``
+replaced: it draws uniformly random strings until one has the wanted
+relation to every accepted string, and after 512 misses in a row it
+enumerates the valid extensions with ``_scan_candidates``.  Each draw
+picks a mutually unbiased class and a member of it, and maps the pair to
+a string by a GF(2^n) product and a bit-matrix product.  Its sets follow
+the distribution the solving sampler must keep, though not its random
+stream.
+
+The 4^n - 1 traceless strings split into 2^n + 1 classes of 2^n - 1
+mutually commuting strings, one class per mutually unbiased basis.  The
+construction runs over GF(2^n): writing field elements in a polynomial
+basis b_0 .. b_{n-1}, the class labelled by a field element m contains
+the strings (a, G(m*a)) for all a != 0, where G is the (invertible,
+symmetric) bit matrix G_ij = Tr(b_i b_j) and Tr is the field trace.  G
+turns bit-parity of a mask product into the trace form, which makes each
+class symplectically self-orthogonal, i.e. commuting.  The class at
+"slope infinity" is {(0, z) : z != 0}.  ``mub_partition`` reads the
+classes out of ``mub_codes``.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from pcelabs import pauli_algebra as pa
-from pcelabs.pauli_algebra import PauliSet, PauliString, SetSamplingError
+from pcelabs.pauli_algebra import PauliSet, PauliString
+
+# Irreducible polynomials over GF(2), one per degree, lowest bit = x^0.
+IRREDUCIBLE = {
+    1: 0b11,
+    2: 0b111,
+    3: 0b1011,
+    4: 0b10011,
+    5: 0b100101,
+    6: 0b1000011,
+    7: 0b10000011,
+    8: 0b100011011,
+    9: 0b1000010001,
+    10: 0b10000001001,
+    11: 0b100000000101,
+    12: 0b1000001010011,
+}
 
 
 def commutes(p: PauliString, q: PauliString) -> bool:
     """True iff the two strings commute (symplectic form evaluates to 0)."""
     sym = (p.x_mask & q.z_mask).bit_count() + (p.z_mask & q.x_mask).bit_count()
     return sym % 2 == 0
+
+
+# ---------------------------------------------------------------------------
+# GF(2^n) arithmetic on int bit masks.
+
+
+def gf_mul(a, b, n: int):
+    """Product in GF(2^n) of two ints, or elementwise of int arrays."""
+    poly = IRREDUCIBLE[n]
+    out = a & 0
+    for _ in range(n):
+        out = out ^ (a * (b & 1))
+        b = b >> 1
+        a = a << 1
+        a = a ^ (poly * (a >> n & 1))
+    return out
+
+
+def _gf_trace(a: int, n: int) -> int:
+    # Tr(a) = a + a^2 + ... + a^(2^(n-1)); lands in {0, 1}.
+    acc = 0
+    cur = a
+    for _ in range(n):
+        acc ^= cur
+        cur = gf_mul(cur, cur, n)
+    if acc not in (0, 1):
+        raise AssertionError("field trace left GF(2)")
+    return acc
+
+
+def _pow_x(k: int, n: int) -> int:
+    out = 1
+    for _ in range(k):
+        out = gf_mul(out, 2, n)
+    return out
+
+
+def trace_gram_rows(n: int) -> list[int]:
+    """Row masks of G_ij = Tr(b_i b_j) for the polynomial basis b_k = x^k."""
+    rows = []
+    powers = [_gf_trace(_pow_x(k, n), n) for k in range(2 * n - 1)]
+    for i in range(n):
+        row = 0
+        for j in range(n):
+            row |= powers[i + j] << j
+        rows.append(row)
+    return rows
+
+
+def apply_bit_matrix(rows: Sequence[int], v: int) -> int:
+    out = 0
+    for i, row in enumerate(rows):
+        out |= ((row & v).bit_count() & 1) << i
+    return out
+
+
+@lru_cache(maxsize=pa.MAX_QUBITS)
+def mub_codes(n: int) -> np.ndarray:
+    """(2^n + 1, 2^n) table of string codes: row m < 2^n, column a holds
+    (a, G(m * a)), the member a of the class labelled m; row 2^n holds the
+    Z-type member (0, a).  Column 0 is the identity and never used."""
+    size = 1 << n
+    a = np.arange(size, dtype=np.int64)
+    table = np.empty((size + 1, size), dtype=np.int64)
+    table[size] = a
+    rows = trace_gram_rows(n)
+    for slope in range(size):
+        product = gf_mul(slope, a, n)
+        z = np.zeros(size, dtype=np.int64)
+        for i, row in enumerate(rows):
+            z |= (np.bitwise_count(product & row).astype(np.int64) & 1) << i
+        table[slope] = pa._code(a, z, n)
+    table.flags.writeable = False
+    return table
 
 
 def mub_partition(n: int) -> list[PauliSet]:
@@ -35,7 +138,7 @@ def mub_partition(n: int) -> list[PauliSet]:
     """
     if not 1 <= n <= pa.MAX_QUBITS:
         raise ValueError(f"qubit count must be in [1, {pa.MAX_QUBITS}], got {n}")
-    table = pa._mub_codes(n)
+    table = mub_codes(n)
     low = (1 << n) - 1
     return [
         PauliSet(
@@ -47,11 +150,31 @@ def mub_partition(n: int) -> list[PauliSet]:
     ]
 
 
-def _apply_bit_matrix(rows: Sequence[int], v: int) -> int:
-    out = 0
-    for i, row in enumerate(rows):
-        out |= ((row & v).bit_count() & 1) << i
-    return out
+# ---------------------------------------------------------------------------
+# The rejection sampler.
+
+
+def scan_candidates(n: int, accepted: list[tuple[int, int]], want: int) -> np.ndarray:
+    """All codes whose symplectic parity against every accepted pair is ``want``.
+
+    Chunked so that a chunk scores at most 2^16 (code, pair) cells and the
+    intermediate arrays stay small; accepted codes are excluded from the
+    result.
+    """
+    total = 1 << (2 * n)
+    taken = {pa._code(x, z, n) for x, z in accepted}
+    keep_chunks = []
+    chunk = (1 << 16) // max(1, len(accepted))
+    for start in range(1, total, chunk):
+        codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        good = codes[pa._score_candidates(n, accepted, want, codes) == len(accepted)]
+        if taken:
+            good = good[~np.isin(good, np.fromiter(taken, dtype=np.int64))]
+        if good.size:
+            keep_chunks.append(good)
+    if not keep_chunks:
+        return np.empty(0, dtype=np.int64)
+    return np.concatenate(keep_chunks)
 
 
 def _draw_code(n: int, rng: np.random.Generator, rows: Sequence[int]) -> tuple[int, int]:
@@ -61,7 +184,7 @@ def _draw_code(n: int, rng: np.random.Generator, rows: Sequence[int]) -> tuple[i
     a = int(rng.integers(1, size))
     if cls == size:
         return 0, a
-    return a, _apply_bit_matrix(rows, pa._gf_mul(cls, a, n))
+    return a, apply_bit_matrix(rows, gf_mul(cls, a, n))
 
 
 def grow_set(n: int, count: int, rng: np.random.Generator, mode: str) -> PauliSet:
@@ -71,27 +194,21 @@ def grow_set(n: int, count: int, rng: np.random.Generator, mode: str) -> PauliSe
         raise ValueError("more strings requested than exist")
     want = 0 if mode == "commuting" else 1
     strict_cap = (1 << n) - 1 if mode == "commuting" else 2 * n + 1
-    rows = pa._trace_gram_rows(n)
+    rows = trace_gram_rows(n)
     rejection_limit = 512
 
     accepted: list[tuple[int, int]] = []
-    attempts = 0
     rejects_since_accept = 0
     while len(accepted) < min(count, strict_cap):
-        if attempts >= pa.ATTEMPT_CAP:
-            raise SetSamplingError(
-                f"no pairwise {mode} extension found within {pa.ATTEMPT_CAP} attempts"
-            )
-        attempts += 1
         if rejects_since_accept >= rejection_limit:
-            valid = pa._scan_candidates(n, accepted, want)
+            valid = scan_candidates(n, accepted, want)
             if valid.size:
                 code = int(valid[int(rng.integers(valid.size))])
                 accepted.append((code >> n, code & ((1 << n) - 1)))
             elif mode == "anticommuting":
                 accepted.clear()
             else:
-                raise SetSamplingError("commuting extension scan came up empty")
+                raise AssertionError("commuting extension scan came up empty")
             rejects_since_accept = 0
             continue
         x_mask, z_mask = _draw_code(n, rng, rows)
@@ -112,15 +229,10 @@ def grow_set(n: int, count: int, rng: np.random.Generator, mode: str) -> PauliSe
 
     strict_count = len(accepted)
     while len(accepted) < count:
-        if attempts >= pa.ATTEMPT_CAP:
-            raise SetSamplingError(
-                f"fallback phase exhausted {pa.ATTEMPT_CAP} attempts"
-            )
         if n <= 8:
             codes = np.arange(1, 1 << (2 * n), dtype=np.int64)
         else:
             codes = rng.integers(1, 1 << (2 * n), size=4096, dtype=np.int64)
-        attempts += codes.size
         taken = np.fromiter(
             (pa._code(x, z, n) for x, z in accepted), dtype=np.int64, count=len(accepted)
         )

@@ -412,6 +412,25 @@ def test_warm_start_short_circuits_in_pce_phase():
     assert result.evals_to_exact == result.total_evals
 
 
+def test_warm_start_ends_the_variational_phase_once_a_step_no_longer_fits(monkeypatch):
+    """A billed step here is 1 + 2 * 150 evaluations.  The first run ends
+    at 2 410 of a 2 500 budget, so no further run can take one, and the
+    memetic phase starts there instead of after two one-evaluation runs."""
+    starts = []
+    evolve = baselines._evolve
+
+    def spy(N, population, config, counter):
+        starts.append(counter.evals)
+        return evolve(N, population, config, counter)
+
+    monkeypatch.setattr(baselines, "_evolve", spy)
+    pce = PceConfig(seed=0, iters_per_restart=5, restart_cap=2, count_gradient_evals=True)
+    mt = MemeticConfig(seed=10, eval_budget=2500)
+    result = pce_warm_start(13, pce, mt, None, WarmStartConfig(pce_runs=3, population_copies=4))
+    assert starts == [2410]
+    assert result.total_evals == 2500
+
+
 def test_warm_start_budget_is_a_hard_limit():
     # Five 21-evaluation variational runs would spend 105 of a 50 budget.
     pce = PceConfig(seed=0, iters_per_restart=20, restart_cap=1, count_gradient_evals=False)

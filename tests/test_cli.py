@@ -140,6 +140,15 @@ def test_pauli_gen_subcommand():
     assert doc["mode"] == "anticommuting"
 
 
+def test_pauli_gen_fills_a_large_set_past_the_strict_cap():
+    """At 8 qubits an anticommuting set holds at most 17 strings; the
+    other 23 come from the fallback phase, which scores all 65 535 strings
+    for each of them."""
+    doc = run_json(["pauli-gen", "--qubits", "8", "--count", "40"])
+    assert len(doc["paulis"]) == len(set(doc["paulis"])) == 40
+    assert doc["strict_count"] == 17
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 from pathlib import Path
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import stats
 
 import sampler_oracle
 from pcelabs import pauli_algebra
@@ -14,7 +16,6 @@ from pcelabs.pauli_algebra import (
     _score_candidates,
     _sym_parity_array,
     PauliString,
-    SetSamplingError,
     sample_anticommuting_set,
     sample_commuting_set,
 )
@@ -190,57 +191,162 @@ def test_scan_candidates_matches_per_string_loop(n, distinct, pairs, want, rng):
         parities = [(bin(x & zm).count("1") + bin(z & xm).count("1")) % 2 for xm, zm in accepted]
         if (x, z) not in accepted and all(p == want for p in parities):
             loop.append(code)
-    assert pauli_algebra._scan_candidates(n, accepted, want).tolist() == loop
+    assert sampler_oracle.scan_candidates(n, accepted, want).tolist() == loop
     if n == 5:
         assert loop
-
-
-def grown(grow, n, count, seed, mode):
-    """A sampler's set (or the error it raised) and the next draw after it."""
-    rng = np.random.default_rng(seed)
-    try:
-        out = grow(n, count, rng, mode).to_dict()
-    except (SetSamplingError, ValueError) as err:
-        out = repr(err)
-    return out, int(rng.integers(2**62))
-
-
-@pytest.mark.parametrize("mode", ["anticommuting", "commuting"])
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_block_sampler_matches_one_draw_at_a_time(n, mode):
-    """Drawing candidates in blocks leaves the set and the generator state
-    as drawing them one at a time does, below and above the strict cap."""
-    strict_cap = (1 << n) - 1 if mode == "commuting" else 2 * n + 1
-    counts = {1, 2, strict_cap - 1, strict_cap, strict_cap + 1, strict_cap + 3, 13, 45}
-    for count in sorted(counts):
-        for seed in range(15):
-            want = grown(sampler_oracle.grow_set, n, count, seed, mode)
-            assert grown(pauli_algebra._grow_set, n, count, seed, mode) == want, (count, seed)
-
-
-@pytest.mark.parametrize("cap", [3, 20, 100, 700])
-def test_block_sampler_fails_where_one_draw_at_a_time_fails(cap, monkeypatch):
-    """Under a small attempt cap both samplers raise at the same point of
-    the stream, or finish with the same set; every cap here makes some
-    of the draws fail."""
-    monkeypatch.setattr(pauli_algebra, "ATTEMPT_CAP", cap)
-    failures = 0
-    for n, mode, seed in itertools.product([2, 3, 4], ["anticommuting", "commuting"], range(5)):
-        want = grown(sampler_oracle.grow_set, n, 2 * n + 3, seed, mode)
-        assert grown(pauli_algebra._grow_set, n, 2 * n + 3, seed, mode) == want, (n, mode, seed)
-        failures += isinstance(want[0], str)
-    assert failures > 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_mub_code_table_matches_field_arithmetic(n):
     """Each table entry is the member a of class m, (a, G(m * a))."""
-    table = pauli_algebra._mub_codes(n)
+    table = sampler_oracle.mub_codes(n)
     size = 1 << n
     for m in range(size):
         for a in range(1, size):
-            z = sampler_oracle._apply_bit_matrix(
-                pauli_algebra._trace_gram_rows(n), pauli_algebra._gf_mul(m, a, n)
+            z = sampler_oracle.apply_bit_matrix(
+                sampler_oracle.trace_gram_rows(n), sampler_oracle.gf_mul(m, a, n)
             )
             assert table[m, a] == (a << n) | z
     assert table[size, 1:].tolist() == list(range(1, size))
+
+
+def codes_of(labels_):
+    return [(p.x_mask << p.n) | p.z_mask for p in map(PauliString.from_label, labels_)]
+
+
+def sym_parity(a, b, n):
+    low = (1 << n) - 1
+    return ((a >> n & b & low).bit_count() + (a & low & b >> n).bit_count()) & 1
+
+
+def ordered_outcomes(grow, n, count, mode, seed, draws):
+    rng = np.random.default_rng(seed)
+    return collections.Counter(
+        tuple(p.to_label() for p in grow(n, count, rng, mode)) for _ in range(draws)
+    )
+
+
+def two_sample_pvalue(a, b):
+    """Chi-square p-value that two equal-size samples share one distribution.
+
+    Outcomes drawn fewer than 10 times in both samples together are pooled
+    into one cell."""
+    cells = [(a[k], b[k]) for k in a.keys() | b.keys()]
+    pooled = [c for c in cells if sum(c) >= 10]
+    rare = np.sum([c for c in cells if sum(c) < 10], axis=0, initial=0)
+    if rare.any():
+        pooled.append(tuple(rare))
+    stat = sum((x - y) ** 2 / (x + y) for x, y in pooled)
+    return stats.chi2.sf(stat, len(pooled) - 1)
+
+
+DISTRIBUTION_CASES = [
+    # Anticommuting chains at n = 2 wedge at 3 strings, so 4 strings take restarts.
+    pytest.param(2, "anticommuting", 4, 5000, id="2-anticommuting"),
+    pytest.param(2, "commuting", 3, 3000, id="2-commuting"),
+    pytest.param(3, "anticommuting", 2, 20000, id="3-anticommuting"),
+    pytest.param(3, "commuting", 2, 20000, id="3-commuting"),
+]
+
+
+@pytest.mark.parametrize("n, mode, count, draws", DISTRIBUTION_CASES)
+def test_sampler_matches_one_draw_at_a_time_in_distribution(n, mode, count, draws):
+    """Solving for each string gives the ordered sets of the rejection
+    sampler in ``sampler_oracle`` with the same frequencies."""
+    ours = ordered_outcomes(pauli_algebra._grow_set, n, count, mode, 1, draws)
+    reference = ordered_outcomes(sampler_oracle.grow_set, n, count, mode, 2, draws)
+    assert two_sample_pvalue(ours, reference) > 1e-3
+
+
+class ZeroFreeBitsSkipped:
+    """A generator whose free-bit draws never come out all zero."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def integers(self, high, *args, **kwargs):
+        if args or kwargs or high == 1:
+            return self.rng.integers(high, *args, **kwargs)
+        return self.rng.integers(1, high)
+
+
+def test_distribution_test_detects_a_biased_draw():
+    def biased(n, count, rng, mode):
+        return pauli_algebra._grow_set(n, count, ZeroFreeBitsSkipped(rng), mode)
+
+    ours = ordered_outcomes(pauli_algebra._grow_set, 2, 4, "anticommuting", 1, 5000)
+    skewed = ordered_outcomes(biased, 2, 4, "anticommuting", 2, 5000)
+    assert two_sample_pvalue(ours, skewed) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "mode, prefix",
+    [
+        ("anticommuting", []),
+        ("anticommuting", ["XYZ"]),
+        ("anticommuting", ["XYZ", "IXI", "XYX"]),
+        ("anticommuting", ["XYZ", "IXI", "XYX", "YZY", "XZI"]),
+        ("anticommuting", ["XI", "YI", "ZI"]),
+        ("anticommuting", ["XII", "YII", "ZII"]),
+        ("commuting", []),
+        ("commuting", ["XYZ"]),
+        ("commuting", ["XYZ", "IXX", "XXX"]),
+        ("commuting", ["XYZ", "IXX", "XXX", "IZY", "XII"]),
+        ("commuting", ["XX", "ZZ"]),
+    ],
+)
+def test_each_step_draws_uniformly_from_the_valid_extensions(mode, prefix):
+    """The system of a fixed prefix has a solution exactly when the prefix
+    has a valid extension, and its solutions, less the identity and the
+    prefix, are each valid extension with equal frequency.  Anticommuting
+    solutions are never the identity or a prefix string."""
+    n = len(prefix[0]) if prefix else 3
+    want = 0 if mode == "commuting" else 1
+    codes = codes_of(prefix)
+    for i, a in enumerate(codes):
+        assert all(sym_parity(a, b, n) == want for b in codes[:i])
+    valid = [
+        c
+        for c in range(1, 1 << (2 * n))
+        if c not in codes and all(sym_parity(c, a, n) == want for a in codes)
+    ]
+    pivots = {}
+    low = (1 << n) - 1
+    solvable = all(pauli_algebra._add_row(pivots, (c & low) << n | c >> n, want) for c in codes)
+    assert solvable == bool(valid)
+    if not valid:
+        return
+    rng = np.random.default_rng(0)
+    draws = [pauli_algebra._solve_draw(pivots, 2 * n, rng) for _ in range(100 * len(valid))]
+    kept = collections.Counter(c for c in draws if c and c not in codes)
+    assert sorted(kept) == valid
+    if mode == "anticommuting" and prefix:
+        assert kept.total() == len(draws)
+    if len(valid) > 1:
+        assert stats.chisquare([kept[c] for c in valid]).pvalue > 1e-3
+
+
+def test_a_wedged_anticommuting_chain_restarts_at_once(monkeypatch):
+    """{XI, YI, ZI} admits no fourth anticommuting string: the next draw
+    solves the empty system."""
+    scripted = codes_of(["XI", "YI", "ZI"])
+    ranks = []
+    solve_draw = pauli_algebra._solve_draw
+
+    def draw(pivots, bits, rng):
+        ranks.append(len(pivots))
+        return scripted.pop(0) if scripted else solve_draw(pivots, bits, rng)
+
+    monkeypatch.setattr(pauli_algebra, "_solve_draw", draw)
+    s = sample_anticommuting_set(2, 5, np.random.default_rng(0))
+    assert ranks[:4] == [0, 1, 2, 0]
+    assert s.strict_count == 5
+    assert not any(commutes(p, q) for p, q in itertools.combinations(s, 2))
+
+
+@pytest.mark.parametrize("mode, count", [("anticommuting", 25), ("commuting", 45)])
+def test_twelve_qubit_sets_are_valid(mode, count):
+    s = SAMPLERS[mode](12, count, np.random.default_rng(0))
+    assert s.strict_count == count
+    assert len({(p.x_mask, p.z_mask) for p in s}) == count
+    assert all(commutes(p, q) == (mode == "commuting") for p, q in itertools.combinations(s, 2))

@@ -288,7 +288,7 @@ def test_numba_engine_runs_one_restart_per_batch(use_engine):
     assert rows == [1] * result.total_evals == [1] * 15
 
 
-@pytest.mark.parametrize("seed", [0, 5, 6, 9])
+@pytest.mark.parametrize("seed", [0, 5, 7, 9])
 def test_exact_hit_inside_a_batch_ends_the_run_there(seed):
     """An exact hit in a later restart of a batch ends the count at that
     restart's evaluation; the rest of the batch is discarded."""
