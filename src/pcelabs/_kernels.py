@@ -2,13 +2,13 @@
 
 Numba compilations of the three whole-batch operations that ``state_sim``
 gives the numpy engine: the statevector evolution, the Pauli
-expectations and the reverse-mode (adjoint) gradient sweep, each over B
-rows with the row loop inside the kernel.  They read the same
-``state_sim.PauliTables`` as the numpy engine, for the gates and the
-measured strings alike, and apply every gate through one loop,
-``_turn``, which computes ``state_sim.turn`` element by element in the
-same operation order.  Without numba the ``njit`` shim below leaves them
-plain Python, and the tests run them that way against the numpy engine.
+expectations and the reads of the reverse-mode (adjoint) gradient sweep,
+each over B rows with the row loop inside the kernel.  They read the
+numpy engine's tables (a step's ``state_sim.step_tables``, the measured
+strings' and the sweep's ``PauliTables``) and do its operations in its
+order; every turn goes through ``_turn``, ``state_sim.turn`` on one row.
+Without numba the ``njit`` shim below leaves them plain Python, and the
+tests run them that way against the numpy engine.
 """
 
 from __future__ import annotations
@@ -27,34 +27,30 @@ except ImportError:  # pragma: no cover
 
 
 @njit(cache=True)
-def _turn(psi, perm, coeff, cos_half, sin_half):
-    """psi <- cos_half psi - i sin_half coeff psi[perm], in place.
-
-    With cos_half = cos(t/2) and sin_half = sin(t/2) this applies
-    exp(-i t G / 2) for the generator table (perm, coeff); -t un-applies
-    it.  perm is an involution, so each pair (c, perm[c]) is updated from
-    its old values once; perm[c] == c covers diagonal generators.
-    """
+def _turn(psi, perm, diag, weight, turned):
+    """psi <- diag psi - weight psi[perm], in place, through the scratch
+    array ``turned``.  The products stay array operations: numpy
+    multiplies complex arrays with fused multiply-adds, which scalar
+    products would not reproduce."""
     for c in range(psi.size):
-        j = perm[c]
-        if c <= j:
-            a = psi[c]
-            b = psi[j]
-            psi[c] = a * cos_half - b * (1j * sin_half * coeff[c])
-            psi[j] = b * cos_half - a * (1j * sin_half * coeff[j])
+        turned[c] = psi[perm[c]]
+    turned *= weight
+    psi *= diag
+    psi -= turned
 
 
 @njit(cache=True)
-def evolve_batch(perms, coeffs, thetas):
-    """(B, 2^n) states: |0..0> evolved through the gate tables for each row
-    of (B, G) angles; gate g turns by thetas[b, g]."""
-    out = np.zeros((thetas.shape[0], perms.shape[1]), dtype=np.complex128)
-    for b in range(thetas.shape[0]):
+def evolve_batch(perms, diags, weights):
+    """(B, 2^n) states: |0..0> turned by the (T, 2^n) perms and the (T, B,
+    2^n) tables of ``state_sim.step_tables``, row b by its own tables."""
+    count, batch, dim = diags.shape
+    out = np.zeros((batch, dim), dtype=np.complex128)
+    turned = np.empty(dim, dtype=np.complex128)
+    for b in range(batch):
         psi = out[b]
         psi[0] = 1.0
-        for g in range(perms.shape[0]):
-            half = thetas[b, g] / 2.0
-            _turn(psi, perms[g], coeffs[g], np.cos(half), np.sin(half))
+        for t in range(count):
+            _turn(psi, perms[t], diags[t, b], weights[t, b], turned)
     return out
 
 
@@ -81,30 +77,36 @@ def pauli_expectations(states, perms, coeffs):
 
 
 @njit(cache=True)
-def adjoint_gradient(perms, coeffs, thetas, psis, lams):
-    """(B, G) gradients d<psi_b|A_b|psi_b>/dtheta_b by one reverse sweep
-    per row of (B, G) angles.
+def adjoint_reads(perms, inverse, read_perms, read_coeffs, psis, lams, n):
+    """(B, L, R) reads Im<lam_b|P|psi_b> of one reverse sweep per row.
 
-    psis[b] is the circuit output for thetas[b] and lams[b] = A_b psis[b]
-    for a Hermitian A_b; neither (B, 2^n) input is modified.  Walking back
-    from the last gate, gate g with U_g = exp(-i t G_g / 2) contributes
-    Im<lam|G_g|psi> read with both vectors just past it, and is then
-    un-applied from both.
+    psis[b] is the circuit output and lams[b] = A_b psis[b]; neither (B,
+    2^n) input is modified.  The (T, 2, B, 2^n) ``inverse`` holds each
+    turn's (conj d, -w) (``state_sim.inverse_turns``): L layers of equal
+    length whose first n turns are the U block.  The (L, R, 2^n) read tables give each layer's
+    first 3n reads after its U block and the rest after its MS block.
+    Walking back from the output, each sublayer is read and then
+    un-applied, last turn first; the first is only read.
     """
-    grad = np.zeros(thetas.shape, dtype=np.float64)
-    for b in range(thetas.shape[0]):
+    layers, count, dim = read_perms.shape
+    per = perms.shape[0] // layers
+    out = np.zeros((psis.shape[0], layers, count), dtype=np.float64)
+    turned = np.empty(dim, dtype=np.complex128)
+    for b in range(psis.shape[0]):
         psi = psis[b].copy()
         lam = lams[b].copy()
-        for g in range(perms.shape[0] - 1, -1, -1):
-            perm = perms[g]
-            coeff = coeffs[g]
-            acc = 0.0 + 0.0j
-            for c in range(psi.size):
-                acc += np.conj(lam[c]) * (coeff[c] * psi[perm[c]])
-            grad[b, g] = acc.imag
-            half = thetas[b, g] / 2.0
-            cos_half = np.cos(half)
-            sin_half = -np.sin(half)
-            _turn(psi, perm, coeff, cos_half, sin_half)
-            _turn(lam, perm, coeff, cos_half, sin_half)
-    return grad
+        for s in range(2 * layers - 1, -1, -1):
+            layer = s // 2
+            first, last = (3 * n, count) if s % 2 else (0, 3 * n)
+            for r in range(first, last):
+                acc = 0.0 + 0.0j
+                for c in range(dim):
+                    j = read_perms[layer, r, c]
+                    acc += np.conj(lam[c]) * (psi[j] * read_coeffs[layer, r, c])
+                out[b, layer, r] = acc.imag
+            if s > 0:
+                start = layer * per + (n if s % 2 else 0)
+                for t in range(start + (per - n if s % 2 else n) - 1, start - 1, -1):
+                    _turn(psi, perms[t], inverse[t, 0, b], inverse[t, 1, b], turned)
+                    _turn(lam, perms[t], inverse[t, 0, b], inverse[t, 1, b], turned)
+    return out

@@ -97,10 +97,36 @@ def autocorrelations(x: np.ndarray) -> np.ndarray:
     return full[x.size :]
 
 
-def sidelobe_energy(x: np.ndarray) -> int:
-    """Sidelobe energy ``E(x) = sum_l C_l(x)^2`` as an exact int."""
-    c = autocorrelations(x)
-    return int(np.dot(c, c))
+def sidelobe_energy(x: np.ndarray) -> int | list[int]:
+    """Sidelobe energy ``E(x) = sum_l C_l(x)^2`` as an exact int.
+
+    A (B, N) numpy array of sequences is checked once as a whole and gives
+    a list of B exact ints.
+    """
+    if getattr(x, "ndim", 1) != 2:
+        c = autocorrelations(x)
+        return int(np.dot(c, c))
+    rows = as_spin_array(x.ravel()).reshape(x.shape)
+    if rows.shape[1] < MIN_LENGTH:
+        raise ValueError(f"sequence length must be >= {MIN_LENGTH}, got {rows.shape[1]}")
+    c = np.einsum("bk,bkl->bl", rows, lag_windows(rows)[..., rows.shape[1] :])
+    return np.einsum("bl,bl->b", c, c).tolist()
+
+
+def lag_windows(x: np.ndarray) -> np.ndarray:
+    """(..., N, 2N - 1) view of the last axis of x: windows[..., k, j] =
+    x_{k + j - (N - 1)}, and 0 past either end.  Entry k of column N - 1 + l
+    is x_{k+l}, so sum_k x_k windows[..., k, N - 1 + l] is C_l."""
+    n = x.shape[-1]
+    zeros = np.zeros(x.shape[:-1] + (n - 1,), dtype=x.dtype)
+    padded = np.concatenate([zeros, x, zeros], axis=-1)
+    # A plain strided view: sliding_window_view's route through
+    # __array_interface__ kept about 1 MB alive over 100 perfbench pce
+    # rounds (tracemalloc, numpy 2.4).
+    strides = padded.strides + padded.strides[-1:]
+    windows = np.ndarray(x.shape + (2 * n - 1,), padded.dtype, padded, 0, strides)
+    windows.flags.writeable = False
+    return windows
 
 
 def merit_factor(x: np.ndarray) -> float:

@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from pcelabs import _kernels, state_sim
-from pcelabs.labs_core import canonicalize, format_sequence, sidelobe_energy
+from pcelabs.labs_core import canonicalize, format_sequence, lag_windows, sidelobe_energy
 from pcelabs.pauli_algebra import (
     MAX_QUBITS,
     PauliString,
@@ -60,19 +60,21 @@ def relax(expectations: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _soft_autocorrelations(x_tilde: np.ndarray) -> np.ndarray:
-    full = np.correlate(x_tilde, x_tilde, mode="full")
-    return full[x_tilde.size :]
+    """C_l = sum_k x~_k x~_{k+l} for l = 1 .. N-1 along the last axis."""
+    return np.einsum("...k,...kl->...l", x_tilde, lag_windows(x_tilde)[..., x_tilde.shape[-1] :])
 
 
 def relaxed_loss_gradient(x_tilde: np.ndarray, beta: float) -> np.ndarray:
-    """dL/dx~ for the relaxed loss, via two length-N convolutions."""
+    """dL/dx~ for the relaxed loss, of an (N,) vector or of each row of a
+    (B, N) matrix: dL/dx~_k = 2 sum_l C_l (x~_{k+l} + x~_{k-l}) - 2 beta x~_k,
+    as two einsums over one window view."""
     x_tilde = np.asarray(x_tilde, dtype=np.float64)
-    n = x_tilde.size
-    c = _soft_autocorrelations(x_tilde)
-    padded = np.concatenate(([0.0], c))
-    left = np.convolve(x_tilde, padded)[:n]
-    right = np.convolve(x_tilde[::-1], padded)[:n][::-1]
-    return 2.0 * (left + right) - 2.0 * beta * x_tilde
+    n = x_tilde.shape[-1]
+    windows = lag_windows(x_tilde)
+    c = np.einsum("...k,...kl->...l", x_tilde, windows[..., n:])
+    # Entry j weighs lag |j - (N - 1)|, the middle one lag 0.
+    lags = np.concatenate([c[..., ::-1], np.zeros_like(c[..., :1]), c], axis=-1)
+    return 2.0 * np.einsum("...kj,...j->...k", windows, lags) - 2.0 * beta * x_tilde
 
 
 def decode(expectations: np.ndarray) -> np.ndarray:
@@ -210,15 +212,14 @@ class LossContext:
         self.beta = float(beta)
         self.shots = int(shots)
         self.rng = rng if rng is not None else np.random.default_rng()
-        self.program = spec.gate_program()
         self.tables = state_sim.pauli_tables(self.paulis, 1 << spec.n)
         self.engine = resolve_engine()
-        self._work = None  # adjoint work array, kept from step to step
+        self._work = None  # adjoint scratch arrays, kept from step to step
 
     def _forward(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(B, 2^n) states and (B, N) exact expectations for (B, P) angles."""
         if self.engine == "numba":
-            states = _kernels.evolve_batch(*self.program, thetas)
+            states = _kernels.evolve_batch(*state_sim.step_tables(self.spec, thetas))
             shape = (len(states), *self.tables.perms.shape[-2:])
             perms, coeffs = (np.broadcast_to(t, shape) for t in self.tables)
             return states, _kernels.pauli_expectations(states, perms, coeffs)
@@ -261,19 +262,22 @@ class LossContext:
         states, exact = self._forward(thetas) if forward is None else forward
         # lams[b] = sum_i w_bi P_bi psi_b, the loss seed of each row.
         perms, coeffs = self.tables
-        weights = np.array([self._loss_weights(e) for e in exact])
         rows = np.arange(len(states))[:, None, None]
-        lams = np.matmul(weights[:, None, :], coeffs * states[rows, perms])[:, 0]
+        seeds = self._loss_weights(exact)[:, None, :]
+        lams = np.matmul(seeds, coeffs * states[rows, perms])[:, 0]
+        spec = self.spec
         if self.engine == "numba":
-            grad = _kernels.adjoint_gradient(*self.program, thetas, states, lams)
+            turns = state_sim.inverse_turns(spec, thetas)
+            reads = _kernels.adjoint_reads(*turns, *spec.sweep_reads(), states, lams, spec.n)
+            grad = state_sim.gradient_from_reads(spec, thetas, reads)
         else:
-            shape = (3 * thetas.shape[1] + 2, *states.shape)
-            if self._work is None or self._work.shape != shape:
-                self._work = np.empty(shape, dtype=np.complex128)
-            grad = state_sim.adjoint_gradient(self.program, thetas, states, lams, self._work)
+            if self._work is None or self._work[1].shape[0] != len(thetas):
+                self._work = state_sim.sweep_work(spec, len(thetas))
+            grad = state_sim.adjoint_gradient(spec, thetas, states, lams, self._work)
         return grad if np.ndim(theta) == 2 else grad[0]
 
     def _loss_weights(self, exact_e: np.ndarray) -> np.ndarray:
+        """dL/de for each row of a (B, N) expectation matrix, or for an (N,) vector."""
         x_tilde = relax(exact_e, self.alpha)
         gx = relaxed_loss_gradient(x_tilde, self.beta)
         return gx * self.alpha * (1.0 - x_tilde**2)
@@ -521,7 +525,7 @@ def _descend(N: int, config: PceConfig, counter: EvalCounter) -> int:
             e, grad = ctx.step(thetas, gradient=it < iters and not last)
             cost = 1 if grad is None else 1 + gradient_cost
             sequences = decode(e)
-            energies = [sidelobe_energy(x) for x in sequences]
+            energies = sidelobe_energy(sequences)
             trail.append((energies, sequences, cost))
             # The batch's first restart comes first in the count, so it is
             # observed as it runs and the exact level stops it at once.

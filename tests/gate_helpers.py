@@ -1,9 +1,9 @@
 """Single-gate, finite-shot and gradient oracles for the simulator and
 solver tests.
 
-The solver applies gates only through ``state_sim.turn`` over the gate
-program's tables and samples shots as binomial draws on exact
-expectations; these helpers build the same gates one at a time, and a
+The solver applies gates only through ``state_sim.turn``, each RX.RY
+pair as one turn, and samples shots as binomial draws on exact
+expectations; these helpers build the gates one at a time, and a
 rotated-basis shot measurement, so the tests can compare them with dense
 linear algebra.  The solver's gradient is one adjoint sweep;
 ``parameter_shift_gradient`` computes the same gradient from shifted

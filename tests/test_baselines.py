@@ -264,12 +264,32 @@ def test_tabu_core_leaves_the_generator_where_one_draw_per_move_does(
         assert evals == 1 + n * (BLOCK + 76)
 
 
+def exit_phase(case):
+    """The phase a warm record exits in: its seed is the variational seed
+    when the run ended in the variational phase, the memetic seed else."""
+    phases = {case["pce"]["seed"]: "pce", case["memetic"]["seed"]: "memetic"}
+    assert len(phases) == 2, "the two seeds must differ to tell the phases apart"
+    return phases[case["result"]["seed"]]
+
+
+def warm_id(index, case):
+    """A case is named by its label; a case labelled ``exact`` by the phase
+    its record exits in, so the name follows the record."""
+    label = case["label"]
+    if label == "exact":
+        label = f"exact in the {exit_phase(case)} phase"
+    return f"{index}-N{case['N']}-{label.replace(' ', '-')}"
+
+
+def test_exact_warm_cases_exit_in_both_phases():
+    exact = [c for c in WARM_GOLDEN["warm"] if c["label"] == "exact"]
+    assert all(c["result"]["evals_to_exact"] is not None for c in exact)
+    assert {exit_phase(c) for c in exact} == {"pce", "memetic"}
+
+
 @pytest.mark.parametrize(
     "case",
-    [
-        pytest.param(c, id=f"{i}-N{c['N']}-{c['label'].replace(' ', '-')}")
-        for i, c in enumerate(WARM_GOLDEN["warm"])
-    ],
+    [pytest.param(c, id=warm_id(i, c)) for i, c in enumerate(WARM_GOLDEN["warm"])],
 )
 def test_warm_start_matches_golden_records(case):
     result = pce_warm_start(

@@ -213,3 +213,21 @@ def test_too_short_sequences_rejected():
 def test_non_spin_values_rejected():
     with pytest.raises(ValueError):
         sidelobe_energy(np.array([1, 0, -1, 1], dtype=np.int8))
+
+
+@given(st.integers(1, 6), st.integers(MIN_LENGTH, 40), st.integers(0, 2**32 - 1))
+def test_a_batch_of_rows_scores_as_each_row_alone(rows, n, seed):
+    batch = np.random.default_rng(seed).choice(np.array([-1, 1]), (rows, n))
+    energies = sidelobe_energy(batch)
+    assert energies == [sidelobe_energy(row) for row in batch]
+    assert all(type(e) is int for e in energies)
+
+
+@pytest.mark.parametrize(
+    "batch",
+    [np.array([[1, -1, 1], [1, 0, 1]]), np.ones((2, 2), dtype=np.int64), np.full((1, 4), 1.5)],
+    ids=["zero-entry", "too-short", "non-integer"],
+)
+def test_a_batch_is_checked_as_a_whole(batch):
+    with pytest.raises(ValueError):
+        sidelobe_energy(batch)

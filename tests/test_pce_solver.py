@@ -85,6 +85,29 @@ def test_relaxed_loss_gradient_matches_finite_differences(seed, beta):
         assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-5)
 
 
+def convolution_loss_gradient(x, beta):
+    """The one-row reference for relaxed_loss_gradient: two length-N
+    convolutions of the sequence with its autocorrelations."""
+    n = x.size
+    padded = np.concatenate(([0.0], np.correlate(x, x, mode="full")[n:]))
+    left = np.convolve(x, padded)[:n]
+    right = np.convolve(x[::-1], padded)[:n][::-1]
+    return 2.0 * (left + right) - 2.0 * beta * x
+
+
+@given(st.integers(1, 5), st.integers(3, 45), st.integers(0, 2**32 - 1), st.floats(0.0, 30.0))
+@settings(max_examples=30)
+def test_batched_loss_gradient_matches_the_convolution_form(rows, n, seed, beta):
+    """Every row of a (B, N) batch gets the per-row convolution result up
+    to float order, and a 1-D vector gets its row's bits."""
+    x = np.random.default_rng(seed).uniform(-0.99, 0.99, (rows, n))
+    grad = relaxed_loss_gradient(x, beta)
+    for row, got in zip(x, grad):
+        want = convolution_loss_gradient(row, beta)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * n)
+    np.testing.assert_array_equal(relaxed_loss_gradient(x[0], beta), grad[0])
+
+
 def exact_loss(ctx, theta):
     return relaxed_loss(relax(ctx.exact_expectations(theta)[0], ctx.alpha), ctx.beta)
 
@@ -103,17 +126,17 @@ def test_parameter_shift_matches_finite_differences():
 
 
 def test_kernel_turn_equals_state_sim_turn():
-    """The kernels' gate loop is ``state_sim.turn`` element by element, for
-    every 3-qubit generator, diagonal ones included."""
+    """The kernels' turn loop is ``state_sim.turn`` element by element, for
+    every 3-qubit generator's perm, the identity included, with
+    per-amplitude tables."""
     n, dim = 3, 8
     paulis = [PauliString(n, x, z) for x in range(dim) for z in range(dim) if x or z]
     rng = np.random.default_rng(9)
-    angles = rng.uniform(-np.pi, np.pi, len(paulis))
-    for perm, coeff, t in zip(*state_sim.pauli_tables(paulis, dim), angles):
-        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    for perm in state_sim.pauli_tables(paulis, dim).perms:
+        psi, diag, weight = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
         want = psi[None, :].copy()
-        state_sim.turn(want, perm, 1j * np.sin(t / 2) * coeff, np.cos(t / 2))
-        _kernels._turn(psi, perm, coeff, np.cos(t / 2), np.sin(t / 2))
+        state_sim.turn(want, perm, weight, diag)
+        _kernels._turn(psi, perm, diag, weight, np.empty(dim, dtype=complex))
         np.testing.assert_allclose(psi, want[0], rtol=0, atol=KERNEL_ATOL)
 
 
@@ -136,6 +159,34 @@ def test_adjoint_gradient_equals_parameter_shift(mode, use_engine):
         np.testing.assert_allclose(
             grad, parameter_shift_gradient(ctx_ref, theta), atol=1e-10
         )
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_sublayer_sweep_equals_parameter_shift_on_both_engines(n, rows, use_engine):
+    """Read at sublayer boundaries, RX through RY, the sweep gives the shift
+    rule's gradient for every row, with a lone qubit outside every brick
+    (odd n) and with the wrap pair (even n); the kernels give the numpy
+    engine's states, expectations and gradient."""
+    rng = np.random.default_rng(10 * n + rows)
+    spec = state_sim.AnsatzSpec(n, 3)
+    paulis = [PauliString(n, int(x), int(z)) for x, z in rng.integers(1, 1 << n, (7, 2))]
+    thetas = rng.uniform(-np.pi, np.pi, (rows, spec.param_count))
+    found = {}
+    for engine in ("numba", "numpy"):
+        use_engine(engine)
+        ctx = LossContext(spec, paulis, 4.0, 2.0)
+        found[engine] = ctx.exact_expectations(thetas), ctx.gradient(thetas)
+    for fast, ref in zip(found["numba"], found["numpy"]):
+        np.testing.assert_allclose(fast, ref, rtol=0, atol=KERNEL_ATOL)
+    np.testing.assert_allclose(
+        _kernels.evolve_batch(*state_sim.step_tables(spec, thetas)),
+        state_sim.run_ansatz_batch(spec, thetas),
+        rtol=0,
+        atol=KERNEL_ATOL,
+    )
+    for theta, grad in zip(thetas, found["numpy"][1]):
+        np.testing.assert_allclose(grad, parameter_shift_gradient(ctx, theta), atol=1e-10)
 
 
 @pytest.mark.parametrize("mode", ["anticommuting", "commuting"])
@@ -254,7 +305,7 @@ def test_lockstep_batches_shrink_with_the_state(use_engine):
         return evolve(spec, thetas)
 
     def recorded(*args):
-        worked.append(args[-1].shape)
+        worked.append(args[-1][0].shape)
         return adjoint(*args)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -263,8 +314,9 @@ def test_lockstep_batches_shrink_with_the_state(use_engine):
         config = PceConfig(n_qubits=8, layers=1, iters_per_restart=1, restart_cap=40)
         solve(13, config)
         assert evolved == [r for r in (2, 4, 8, 8, 8, 8, 2) for _ in range(2)]
-        gates = config.ansatz().param_count
-        assert worked == [(3 * gates + 2, r, 256) for r in (2, 4, 8, 8, 8, 8, 2)]
+        # A (psi, lam) pair per sublayer and a (conj d, -w) pair per turn.
+        pairs = 2 * config.layers + 8 + 4
+        assert worked == [(pairs, 2, r, 256) for r in (2, 4, 8, 8, 8, 8, 2)]
         evolved.clear()
         solve(13, replace(config, n_qubits=11, restart_cap=3))
         assert evolved == [1] * 6
@@ -277,9 +329,10 @@ def test_numba_engine_runs_one_restart_per_batch(use_engine):
     rows = []
     evolve = _kernels.evolve_batch
 
-    def counted(perms, coeffs, thetas):
-        rows.append(len(thetas))
-        return evolve(perms, coeffs, thetas)
+    def counted(*tables):
+        states = evolve(*tables)
+        rows.append(len(states))
+        return states
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_kernels, "evolve_batch", counted)
@@ -352,6 +405,12 @@ def test_solve_with_references_matches_golden_records(case):
     batch has run, or on a batch's first restart."""
     refs = EnergyReferences.from_levels(case["references"])
     assert solve(case["N"], PceConfig(**case["pce"]), refs).to_dict() == case["result"]
+
+
+def test_reference_goldens_hit_inside_a_batch_and_on_a_batch_start():
+    """The solve cases with references cover both lockstep scenarios."""
+    starts = {c["result"]["restarts_used"] - 1 in BATCH_STARTS for c in WARM_GOLDEN["solve"]}
+    assert starts == {True, False}
 
 
 @pytest.mark.parametrize("case", GOLDEN["solve"], ids=golden_id)

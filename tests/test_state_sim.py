@@ -6,7 +6,16 @@ from scipy.linalg import expm
 
 from gate_helpers import apply_ms, apply_rotation, sampled_expectation
 from pcelabs.pauli_algebra import PauliString
-from pcelabs.state_sim import AnsatzSpec, expectations_batch, pauli_tables, run_ansatz_batch
+from pcelabs import state_sim
+from pcelabs.state_sim import (
+    AnsatzSpec,
+    expectations_batch,
+    inverse_turns,
+    pauli_tables,
+    run_ansatz_batch,
+    step_tables,
+    turn,
+)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -84,22 +93,81 @@ def test_gate_program_shape():
     assert program.coeffs.shape == program.perms.shape
 
 
-def test_ansatz_against_dense_reference(rng):
-    """Whole-circuit check: gate-by-gate dense linear algebra."""
-    spec = AnsatzSpec(3, 2)
-    theta = rng.uniform(-np.pi, np.pi, spec.param_count)
-    psi = np.eye(8, dtype=complex)[0]  # |000>
+def gate_by_gate(spec, theta):
+    """The circuit output one gate at a time: RX and RY on every qubit, then
+    the layer's bricks."""
+    psi = np.eye(1 << spec.n, dtype=complex)[0]  # |0...0>
     k = 0
-    for layer in range(2):
+    for layer in range(spec.layers):
         for axis in ("x", "y"):
-            for q in range(3):
+            for q in range(spec.n):
                 psi = apply_rotation(psi, axis, q, theta[k])
                 k += 1
         for a, b in spec.brick_pairs(layer):
             psi = apply_ms(psi, a, b, theta[k])
             k += 1
     assert k == spec.param_count
-    np.testing.assert_allclose(run_ansatz_batch(spec, theta)[0], psi, atol=1e-12)
+    return psi
+
+
+def test_ansatz_against_dense_reference(rng):
+    """Whole-circuit check: gate-by-gate dense linear algebra."""
+    spec = AnsatzSpec(3, 2)
+    theta = rng.uniform(-np.pi, np.pi, spec.param_count)
+    want = gate_by_gate(spec, theta)
+    np.testing.assert_allclose(run_ansatz_batch(spec, theta)[0], want, atol=1e-12)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_fused_forward_matches_gate_by_gate(n, rows, rng):
+    """One turn per RX.RY pair gives the gate-by-gate state, with a lone
+    qubit outside every brick (odd n) and with the wrap pair (even n)."""
+    spec = AnsatzSpec(n, 4)
+    thetas = rng.uniform(-np.pi, np.pi, (rows, spec.param_count))
+    for state, theta in zip(run_ansatz_batch(spec, thetas), thetas):
+        np.testing.assert_allclose(state, gate_by_gate(spec, theta), atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_forward_pass_turns_once_per_qubit_and_brick(n, monkeypatch):
+    """A layer is n fused rotations and its bricks: n L + M turns in all."""
+    spec = AnsatzSpec(n, 5)
+    calls = []
+    real = state_sim.turn
+    monkeypatch.setattr(state_sim, "turn", lambda *args: calls.append(real(*args)))
+    run_ansatz_batch(spec, np.zeros((2, spec.param_count)))
+    bricks = sum(len(spec.brick_pairs(layer)) for layer in range(spec.layers))
+    assert len(calls) == n * spec.layers + bricks
+
+
+def test_each_turn_is_undone_by_its_inverse(rng):
+    """The inverse of every turn is (conj d, conj(w)[perm]), and a turn
+    followed by it gives the identity."""
+    spec = AnsatzSpec(4, 2)
+    thetas = rng.uniform(-np.pi, np.pi, (3, spec.param_count))
+    perms, diags, weights = step_tables(spec, thetas)
+    _, inverse = inverse_turns(spec, thetas)
+    for perm, diag, weight, (undo_diag, undo_weight) in zip(perms, diags, weights, inverse):
+        np.testing.assert_array_equal(undo_diag, diag.conj())
+        np.testing.assert_array_equal(undo_weight, weight[:, perm].conj())
+        psi = np.stack([random_state(rng, 4) for _ in range(3)])
+        state = psi.copy()
+        turn(state, perm, weight, diag)
+        turn(state, perm, undo_weight, undo_diag)
+        np.testing.assert_allclose(state, psi, rtol=0, atol=1e-15)
+
+
+def test_step_tables_follow_the_angle_values(rng):
+    """The tables kept from the last step are not reused once its angle
+    matrix has changed in place."""
+    spec = AnsatzSpec(3, 2)
+    thetas = rng.uniform(-np.pi, np.pi, (2, spec.param_count))
+    run_ansatz_batch(spec, thetas)
+    thetas[1, 4] += 0.5
+    np.testing.assert_allclose(
+        run_ansatz_batch(spec, thetas)[1], gate_by_gate(spec, thetas[1]), atol=1e-12
+    )
 
 
 @given(st.integers(0, 2**32 - 1))
