@@ -12,12 +12,17 @@ its rounds.  ``perfbench/worker.py`` is imported once per tree, so the
 workload's ``*_ops`` call that tree; the file is read, never changed.
 
 A round calls every op of the workload once, as one perfbench round
-does.  Rounds of the two trees interleave, and the tree that goes first
+does, then checks each result with the op's own check, untimed.  Besides
+perfbench's workloads there is ``exact-sizes``: one ``exact_solve(N, 3)``
+for each N of ``bench_snapshot.EXACT_SIZES``, billed and recorded as the
+worker's ``exact`` op; its levels must be the packaged table's, and where
+perfbench knows the published optimum it passes the worker's checks too.
+Rounds of the two trees interleave, and the tree that goes first
 alternates.  Every round must give the same records on both trees.  The
 last line printed is one JSON object: the change/parent ratio of the
 median round walls, the median of the per-round ratios with a seeded
-bootstrap interval, and the rounds each side won.  The exit code is 1
-if any records differed.
+bootstrap interval and per op, the rounds each side won and the failed
+checks.  The exit code is 1 if any records differed or any check failed.
 """
 
 from __future__ import annotations
@@ -36,15 +41,39 @@ for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 
 import numpy as np  # noqa: E402
+from bench_snapshot import EXACT_SIZES  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
-WORKLOADS = ("pce", "tabu", "memetic", "exact")
+WORKLOADS = ("pce", "tabu", "memetic", "exact", "exact-sizes")
 BOOTSTRAP = 2000
 
 
 def _package_names() -> list[str]:
     return [name for name in sys.modules if name == "pcelabs" or name.startswith("pcelabs.")]
+
+
+def exact_size_ops(worker) -> list:
+    """The ``exact-sizes`` ops, built from one tree's copy of the worker."""
+    levels = worker.EXACT_LEVELS
+
+    def check(result, n: int) -> list[str]:
+        table = worker.bench.reference_levels(n)[:levels]
+        problems = [] if result.level_energies == table else [f"levels differ from the packaged {table}"]
+        if n in worker.checks.PUBLISHED_OPTIMA:
+            problems += worker.checks.check_exact(result, n, levels)
+        return problems
+
+    return [
+        worker.Op(
+            f"exact N={n}",
+            lambda n=n: worker.baselines.exact_solve(n, levels),
+            1 << (n - 1),
+            lambda r, n=n: check(r, n),
+            {"levels": levels},
+        )
+        for n in EXACT_SIZES
+    ]
 
 
 class Tree:
@@ -74,25 +103,30 @@ class Tree:
             "tabu": lambda: worker.tabu_ops(seed),
             "memetic": lambda: worker.memetic_ops(seed),
             "exact": lambda: worker.exact_ops(seed),
+            "exact-sizes": lambda: exact_size_ops(worker),
         }[workload]()
-        worker.warm_up(workload, seed)
+        worker.warm_up(workload.removesuffix("-sizes"), seed)
 
     def activate(self) -> None:
         for module in _package_names():
             del sys.modules[module]
         sys.modules.update(self.modules)
 
-    def round(self) -> tuple[float, list[str]]:
-        """One call of every op: the wall time and the records as JSON."""
+    def round(self) -> tuple[list[float], list[str], list[str]]:
+        """One call of every op: the ops' wall times, the records as JSON
+        and the problems the ops' checks found."""
         self.activate()
-        started = time.perf_counter()
-        results = [op.run() for op in self.ops]
-        wall = time.perf_counter() - started
+        results, walls = [], []
+        for op in self.ops:
+            started = time.perf_counter()
+            results.append(op.run())
+            walls.append(time.perf_counter() - started)
         records = [
             json.dumps(self.worker.record_of(op, i, result).to_dict(), sort_keys=True)
             for i, (op, result) in enumerate(zip(self.ops, results))
         ]
-        return wall, records
+        problems = [f"{self.name} {op.label}: {p}" for op, r in zip(self.ops, results) for p in op.check(r)]
+        return walls, records, problems
 
 
 def bootstrap_median(values: np.ndarray, seed: int) -> list[float]:
@@ -116,26 +150,31 @@ def main(argv=None) -> int:
         Tree("change", ROOT / "src", args.workload, args.seed),
         Tree("parent", args.parent.resolve(), args.workload, args.seed),
     ]
-    walls: dict[str, list[float]] = {tree.name: [] for tree in trees}
-    differing = 0
+    op_walls: dict[str, list[list[float]]] = {tree.name: [] for tree in trees}  # per round, per op
+    differing = failed = 0
     for r in range(args.rounds):
         done = {}
         for tree in trees if r % 2 == 0 else trees[::-1]:
-            wall, records = tree.round()
-            walls[tree.name].append(wall)
+            walls, records, problems = tree.round()
+            op_walls[tree.name].append(walls)
             done[tree.name] = records
+            failed += len(problems)
+            for problem in problems:
+                print(f"round {r} {problem}", file=sys.stderr)
         same = done["change"] == done["parent"]
         differing += not same
         print(
-            f"round {r}: change {walls['change'][-1]:.4f} s, parent {walls['parent'][-1]:.4f} s"
+            f"round {r}: change {sum(op_walls['change'][-1]):.4f} s, "
+            f"parent {sum(op_walls['parent'][-1]):.4f} s"
             + ("" if same else ", records differ"),
             file=sys.stderr,
         )
 
-    change, parent = walls["change"], walls["parent"]
+    change, parent = (np.array(op_walls[name]).sum(axis=1).tolist() for name in ("change", "parent"))
     # A round's two runs are next to each other in time, so their ratio
     # cancels the host's drift across rounds.
     round_ratios = np.array(change) / np.array(parent)
+    op_ratios = np.median(np.array(op_walls["change"]) / np.array(op_walls["parent"]), axis=0)
     summary = {
         "workload": args.workload,
         "seed": args.seed,
@@ -145,12 +184,14 @@ def main(argv=None) -> int:
         "ratio": statistics.median(change) / statistics.median(parent),
         "round_ratio": float(np.median(round_ratios)),
         "round_ratio_interval": bootstrap_median(round_ratios, args.seed),
+        "op_round_ratios": dict(zip((op.label for op in trees[0].ops), op_ratios.tolist())),
         "change_won": sum(c < p for c, p in zip(change, parent)),
         "parent_won": sum(p < c for c, p in zip(change, parent)),
         "records_identical": differing == 0,
+        "failed_checks": failed,
     }
     print(json.dumps(summary))
-    return 0 if differing == 0 else 1
+    return 0 if differing == 0 and failed == 0 else 1
 
 
 if __name__ == "__main__":

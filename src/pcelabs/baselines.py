@@ -47,8 +47,9 @@ __all__ = [
 
 EXACT_LIMIT = 36
 # exact_solve walks blocks of 2^EXACT_BLOCK_BITS rows and scores about half of
-# each.  Measured on the Gray-code walk at N = 28 on one BLAS thread: 11 and
-# 13 are 10-20% slower than 12, and 14 is twice as slow.
+# each.  Measured with dead columns packed away, at N = 24, 28 and 30 on one
+# BLAS thread: 11 is 25-30% slower than 12, 13 up to 8% slower, and 14 about
+# 40% slower.
 EXACT_BLOCK_BITS = 12
 # exact_solve works out the high spins, c_h and weights of this many blocks
 # at a time, with a few vectorised calls; at N = 28, 2^6 to 2^10 time within
@@ -111,14 +112,21 @@ def exact_solve(N: int, levels: int = 3) -> ExactResult:
     order.
 
     The pair member to score is chosen by a key, positions 2 .. m+1 with
-    m = min(high, k) - 2: in x they are the low m bits of the block index,
-    and in R(x) they come from the low row alone.  The rows are sorted by
-    key(R(x)) once, and a block scores the suffix of rows whose key is at
-    least key(x), so x is scored when key(R(x)) >= key(x), and R(x) when
-    key(x) >= key(R(x)).  Only the rows at or below the running pool of
-    lowest levels go on to be merged into it.  Memory is a few 2^k x N
-    float32 arrays whatever N is.  Refuses N beyond 36, where enumeration
-    stops being a desk job (N = 36 walks 2^22 blocks).
+    m = min(high, k) - 2, read as a binary number v and ranked by its Gray
+    rank v ^ v>>1 ^ v>>2 ... .  In R(x) the key comes from the low row
+    alone.  The rows are sorted by rank(R(x)) once, and a block scores the
+    suffix of rows whose rank is at least rank(x), so x is scored when
+    rank(R(x)) >= rank(x), and R(x) when rank(x) >= rank(R(x)).  The key
+    positions are the slowest bits of the Gray-code walk and positions
+    m+2 .. high-1 its fastest, so the block at step i has rank
+    i >> (high-2-m), and the suffix only ever shrinks.  Columns below it
+    are never read again: once they are more than an eighth of the live
+    width, the live columns of the lags and of 2 G^T are moved to the
+    front of their own buffers, so the add, the square and the gemv run on
+    contiguous arrays of live columns.  Only the rows at or below
+    the running pool of lowest levels go on to be merged into it.  Memory
+    is a few 2^k x N float32 arrays whatever N is.  Refuses N beyond 36,
+    where enumeration stops being a desk job (N = 36 walks 2^22 blocks).
     """
     if not 3 <= N <= EXACT_LIMIT:
         raise ValueError(f"exact enumeration supports 3 <= N <= {EXACT_LIMIT}")
@@ -127,6 +135,7 @@ def exact_solve(N: int, levels: int = 3) -> ExactResult:
     k = min(EXACT_BLOCK_BITS, N - 2)
     high = N - k
     m = max(0, min(high, k) - 2)
+    fast = high - 2 - m  # the walk's fast bits, positions m+2 .. high-1
     # Bit i of a row is 1 where the spin at position high + i is -1.  Since
     # s a^j = x_{N-1-j%2}, bit j of the key, R(x) at position 2 + j, is the
     # XOR of row bits k-3-j and k-1-j%2.
@@ -134,21 +143,27 @@ def exact_solve(N: int, levels: int = 3) -> ExactResult:
     key = np.zeros_like(rows)
     for j in range(m):
         key |= ((rows >> (k - 3 - j) ^ rows >> (k - 1 - j % 2)) & 1) << j
-    rows = np.argsort(key, kind="stable")  # the rows in key order
-    starts = np.searchsorted(key[rows], np.arange(1 << m))
+    rank = key.copy()
+    for j in range(1, m):
+        rank ^= key >> j
+    rows = np.argsort(rank, kind="stable")  # the rows in rank order
+    starts = np.searchsorted(rank[rows], np.arange(1 << m))
     spins = (1 - 2 * ((rows >> np.arange(k)[:, None]) & 1)).astype(np.float32)  # G^T
     gap = np.arange(1, N)[:, None] - np.arange(k)  # lag minus low position
     # Rows 0 .. N-2 hold the squares of T + G M_h, rows N-1 .. 2N-3 T + G M_h
     # itself, both lag-major.  c_h is zero from lag high on, so the gemv
     # stops at row N-3+high and skips the last k lags of T + G M_h.
     both = np.empty((2 * (N - 1), rows.size), dtype=np.float32)
-    squares, corr = both[: N - 1], both[N - 1 :]
-    scored = both[: N - 2 + high]
+    squares, corr, scored = both[: N - 1], both[N - 1 :], both[: N - 2 + high]
     np.matmul(((gap > 0) & (gap <= high)).astype(np.float32), spins, out=corr)  # all h = +1
     for lag in range(1, k):
         corr[lag - 1] += np.einsum("ij,ij->j", spins[:-lag], spins[lag:])
     np.square(corr, out=squares)
     twice_spins = 2 * spins
+    base = 0  # both and twice_spins hold columns base .. 2^k - 1
+    # Gray-code bit b flips position position[b]; h column 2 + j reads bit shift[j].
+    position = [*range(m + 2, high), *range(2, m + 2)]
+    shift = np.concatenate((np.arange(fast, high - 2), np.arange(fast)))
     blocks = 1 << (high - 2)
     chunk = min(_EXACT_CHUNK, blocks)
     weights = np.ones((chunk, scored.shape[0]), dtype=np.float32)  # rows (ones, 2 c_h)
@@ -157,25 +172,29 @@ def exact_solve(N: int, levels: int = 3) -> ExactResult:
     cutoff = np.inf
     at_best: list[tuple[np.ndarray, np.ndarray]] = []  # (h, rows) at pool[0]
     for first in range(0, blocks, chunk):
-        block = np.arange(first, first + chunk)
-        block ^= block >> 1
+        steps = np.arange(first, first + chunk)
         h = np.ones((chunk, high), dtype=np.float32)  # the blocks' high spins
-        h[:, 2:] -= 2 * (block[:, None] >> np.arange(high - 2) & 1)
+        h[:, 2:] -= 2 * ((steps ^ steps >> 1)[:, None] >> shift & 1)
         for lag in range(1, high):
             c_h[:, lag - 1] = np.einsum("ij,ij->i", h[:, :-lag], h[:, lag:])
         own = np.einsum("ij,ij->i", c_h, c_h).tolist()  # c_h.c_h
         c_h *= 2
-        start = starts[block & ((1 << m) - 1)].tolist()
+        start = starts[steps >> fast].tolist()
         for i, step in enumerate(range(first, first + chunk)):
+            if 8 * (start[i] - base) > both.shape[1]:
+                both = _pack(both, start[i] - base)
+                twice_spins = _pack(twice_spins, start[i] - base)
+                base = start[i]
+                squares, corr, scored = both[: N - 1], both[N - 1 :], both[: N - 2 + high]
             if step:
-                p = 1 + (step & -step).bit_length()  # 2 + the flipped bit
+                p = position[(step & -step).bit_length() - 1]
                 moved = slice(high - p - 1, N - 1 - p)
                 if h[i, p] < 0:
                     corr[moved] -= twice_spins
                 else:
                     corr[moved] += twice_spins
                 np.square(corr[moved], out=squares[moved])
-            partial = weights[i] @ scored[:, start[i] :]
+            partial = weights[i] @ scored[:, start[i] - base :]
             bound = cutoff - own[i]
             if partial.min() > bound:
                 continue
@@ -202,6 +221,17 @@ def exact_solve(N: int, levels: int = 3) -> ExactResult:
         level_energies=level_energies,
         canonical_optima=optima,
     )
+
+
+def _pack(array: np.ndarray, dead: int) -> np.ndarray:
+    """Drop the first ``dead`` columns of a C-contiguous 2-D ``array``: move
+    the rest, row by row, to the front of its own buffer and return them
+    as a contiguous view.  A row never lands on a later row's columns."""
+    live = array.shape[1] - dead
+    packed = array.reshape(-1)[: array.shape[0] * live].reshape(-1, live)
+    for row in range(array.shape[0]):
+        packed[row] = array[row, dead:]
+    return packed
 
 
 # ---------------------------------------------------------------------------

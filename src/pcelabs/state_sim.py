@@ -216,7 +216,7 @@ def run_ansatz_batch(spec: AnsatzSpec, thetas: np.ndarray) -> np.ndarray:
     for perm, diag, weight in zip(*step_tables(spec, thetas)):
         turn(states, perm, weight, diag)
     norms = np.linalg.norm(states, axis=1)
-    if not np.allclose(norms, 1.0, atol=1e-9):
+    if np.abs(norms - 1.0).max() > 1e-9:
         raise AssertionError("state norm drifted beyond 1e-9")
     return states
 

@@ -62,15 +62,24 @@ def test_narrow_blocks_match_brute_force(n, bits, monkeypatch):
     assert {tuple(x) for x in result.canonical_optima} == optima
 
 
-GRAY_WALK_CASES = [c for c in EXACT_GOLDEN["exact"] if 13 <= c["N"] <= 18 and c["levels"] == 3]
+GRAY_WALK_CASES = [
+    pytest.param(case, bits, id=f"N{case['N']}-{bits}")
+    for sizes, widths in [(range(13, 19), (3, 5)), (range(20, 25), (6, 8))]
+    for case in EXACT_GOLDEN["exact"]
+    if case["N"] in sizes and case["levels"] == 3
+    for bits in widths
+]
 
 
-@pytest.mark.parametrize("bits", [3, 5])
-@pytest.mark.parametrize("case", GRAY_WALK_CASES, ids=lambda c: f"N{c['N']}")
+@pytest.mark.parametrize("case, bits", GRAY_WALK_CASES)
 def test_long_gray_walks_match_golden_results(case, bits, monkeypatch):
     """Blocks of 2^3 or 2^5 rows give 2^6 to 2^13 blocks, and the reversal
     key covers at most 3 high spins, so the Gray-code walk over the blocks
-    flips spins above the key as well as within it."""
+    flips spins above the key as well as within it.  At N = 20 to 24, a
+    4- or 6-bit key sits above 4 to 12 fast bits of blocks of 2^6 or 2^8
+    rows, so dead columns are packed away many times, within chunks of
+    blocks as well as at their edges, after runs of blocks that score the
+    same suffix."""
     monkeypatch.setattr(baselines, "EXACT_BLOCK_BITS", bits)
     assert exact_solve(case["N"], case["levels"]).to_dict() == case["result"]
 

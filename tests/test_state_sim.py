@@ -179,6 +179,26 @@ def test_ansatz_preserves_norm(seed):
     assert abs(np.vdot(psi, psi).real - 1.0) < 1e-12
 
 
+def test_norm_check_catches_a_drift_of_5e6(monkeypatch):
+    """One turn table scaled by 1 + 5e-6 moves every norm by 5e-6: within
+    numpy's default rtol of 1e-5, but beyond the 1e-9 the check names."""
+    spec = AnsatzSpec(4, 2)
+    theta = np.random.default_rng(3).uniform(-np.pi, np.pi, spec.param_count)
+    run_ansatz_batch(spec, theta)
+    real = state_sim.step_tables
+
+    def drifting(spec, thetas):
+        perms, diags, weights = real(spec, thetas)
+        diags, weights = diags.copy(), weights.copy()  # the real tables are cached
+        diags[0] *= 1 + 5e-6
+        weights[0] *= 1 + 5e-6
+        return perms, diags, weights
+
+    monkeypatch.setattr(state_sim, "step_tables", drifting)
+    with pytest.raises(AssertionError, match="1e-9"):
+        run_ansatz_batch(spec, theta)
+
+
 def test_run_ansatz_batch_matches_loop(rng):
     spec = AnsatzSpec(3, 3)
     thetas = rng.uniform(-np.pi, np.pi, (5, spec.param_count))
