@@ -1,4 +1,4 @@
-"""Compare two pcelabs trees on one perfbench workload inside one process.
+"""Compare two pcelabs trees on one workload inside one process.
 
 Run from the root of a checkout:
 
@@ -13,13 +13,23 @@ workload's ``*_ops`` call that tree; the file is read, never changed.
 
 A round calls every op of the workload once, as one perfbench round
 does, then checks each result with the op's own check, untimed.  Besides
-perfbench's workloads there is ``exact-sizes``: one ``exact_solve(N, 3)``
-for each N of ``bench_snapshot.EXACT_SIZES``, billed and recorded as the
-worker's ``exact`` op; its levels must be the packaged table's, and where
-perfbench knows the published optimum it passes the worker's checks too.
-Rounds of the two trees interleave, and the tree that goes first
-alternates.  Every round must give the same records on both trees.  The
-last line printed is one JSON object: the change/parent ratio of the
+perfbench's workloads there are:
+
+- ``exact-sizes``: one ``exact_solve(N, 3)`` for each N of
+  ``EXACT_SIZES``, billed and recorded as the worker's ``exact`` op; its
+  levels must be the packaged table's, and where perfbench knows the
+  published optimum it passes the worker's checks too.
+- ``slice``: one lockstep PCE solve at N = 20, 32 restarts of 200
+  iterations, without references.
+- ``campaign`` and ``tabu_campaign``: one op per run, through
+  ``bench._run_one``, for the first runs at each N of the reduced PCE and
+  tabu campaigns that ``CAMPAIGNS`` names, with reference levels.
+
+These three check their records against the packaged table: no energy
+below the optimum, and ``tts`` set exactly when a run with references
+reached it.  Rounds of the two trees interleave, and the tree that goes
+first alternates.  Every round must give the same records on both trees.
+The last line printed is one JSON object: the change/parent ratio of the
 median round walls, the median of the per-round ratios with a seeded
 bootstrap interval and per op, the rounds each side won and the failed
 checks.  The exit code is 1 if any records differed or any check failed.
@@ -41,11 +51,26 @@ for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 
 import numpy as np  # noqa: E402
-from bench_snapshot import EXACT_SIZES  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
-WORKLOADS = ("pce", "tabu", "memetic", "exact", "exact-sizes")
+# Each workload and the perfbench workload whose warm-up it runs.
+WORKLOADS = {
+    "pce": "pce",
+    "tabu": "tabu",
+    "memetic": "memetic",
+    "exact": "exact",
+    "exact-sizes": "exact",
+    "slice": "pce",
+    "campaign": "pce",
+    "tabu_campaign": "tabu",
+}
+EXACT_SIZES = (24, 26, 28)
+SLICE_N, SLICE = 20, {"restart_cap": 32, "iters_per_restart": 200, "seed": 0}
+CAMPAIGNS = {  # workload: (config, runs per N)
+    "campaign": (ROOT / "configs" / "reduced_pce.json", {13: 20, 20: 6}),
+    "tabu_campaign": (ROOT / "configs" / "reduced_tabu.json", {20: 20, 28: 10}),
+}
 BOOTSTRAP = 2000
 
 
@@ -73,6 +98,46 @@ def exact_size_ops(worker) -> list:
             {"levels": levels},
         )
         for n in EXACT_SIZES
+    ]
+
+
+def table_check(worker, record, referenced: bool = True) -> list[str]:
+    """A record's problems against the packaged table: an energy below the
+    optimum, or ``tts`` set other than exactly when a run with references
+    reached the optimum."""
+    optimum = worker.bench.reference_levels(record.n)[0]
+    problems = [] if record.best_energy >= optimum else [f"energy below the optimum {optimum}"]
+    if (record.tts is not None) != (referenced and record.best_energy == optimum):
+        problems.append(f"tts {record.tts} at energy {record.best_energy}, optimum {optimum}")
+    return problems
+
+
+def slice_ops(worker) -> list:
+    """The ``slice`` op, built from one tree's copy of the worker; it
+    returns its run's record."""
+    config = worker.pce_solver.PceConfig(**SLICE)
+
+    def run():
+        result = worker.pce_solver.solve(SLICE_N, config)
+        return worker.bench.RunRecord.from_solve_result(result, 0, SLICE)
+
+    return [worker.Op(f"slice N={SLICE_N}", run, 0, lambda r: table_check(worker, r, False), SLICE)]
+
+
+def campaign_ops(worker, path: Path, runs: dict) -> list:
+    """One op per campaign run, the first ``runs[N]`` at each N of the
+    config at ``path``, built from one tree's copy of the worker."""
+    config = worker.bench.CampaignConfig.from_dict(json.loads(path.read_text()))
+    return [
+        worker.Op(
+            f"{config.solver} N={n} run {i}",
+            lambda n=n, i=i: worker.bench._run_one(config, n, i),
+            0,
+            lambda r: table_check(worker, r),
+            {},
+        )
+        for n, count in runs.items()
+        for i in range(count)
     ]
 
 
@@ -104,8 +169,11 @@ class Tree:
             "memetic": lambda: worker.memetic_ops(seed),
             "exact": lambda: worker.exact_ops(seed),
             "exact-sizes": lambda: exact_size_ops(worker),
+            "slice": lambda: slice_ops(worker),
+            "campaign": lambda: campaign_ops(worker, *CAMPAIGNS["campaign"]),
+            "tabu_campaign": lambda: campaign_ops(worker, *CAMPAIGNS["tabu_campaign"]),
         }[workload]()
-        worker.warm_up(workload.removesuffix("-sizes"), seed)
+        worker.warm_up(WORKLOADS[workload], seed)
 
     def activate(self) -> None:
         for module in _package_names():
@@ -122,9 +190,10 @@ class Tree:
             results.append(op.run())
             walls.append(time.perf_counter() - started)
         records = [
-            json.dumps(self.worker.record_of(op, i, result).to_dict(), sort_keys=True)
+            result if isinstance(result, self.worker.bench.RunRecord) else self.worker.record_of(op, i, result)
             for i, (op, result) in enumerate(zip(self.ops, results))
         ]
+        records = [json.dumps(record.to_dict(), sort_keys=True) for record in records]
         problems = [f"{self.name} {op.label}: {p}" for op, r in zip(self.ops, results) for p in op.check(r)]
         return walls, records, problems
 

@@ -78,7 +78,7 @@ def reference_levels(n: int) -> list[int]:
     """Reference energy levels for one size: [exact, first, second...].
 
     Read from the packaged table ``data/reference_energies.json``:
-    enumerated levels up to N = 28 and best known optima up to N = 45.
+    enumerated levels up to N = 36 and best known optima up to N = 45.
     ``scripts/build_reference_table.py`` writes it.
     """
     table = _reference_table()

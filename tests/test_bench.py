@@ -173,98 +173,98 @@ def test_committed_tabu_records_replay():
         assert replayed.to_dict() == record
 
 
-def load_bench_snapshot():
-    path = REPO / "scripts" / "bench_snapshot.py"
-    spec = importlib.util.spec_from_file_location("bench_snapshot", path)
-    snapshot = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(snapshot)
-    return snapshot
+def load_script(monkeypatch, path: Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
-def test_bench_snapshot_campaign_runs_match_the_campaign():
-    """The snapshot's campaign jobs, run as it runs them, give the records of
-    ``bench._run_one``; the PCE job's row counts and lockstep batches fit
-    its record.  This also fails if a name the jobs patch is renamed."""
-    snapshot = load_bench_snapshot()
-    jobs = {
-        "pce": (snapshot.CAMPAIGN_RUN, snapshot.CAMPAIGN),
-        "tabu": (snapshot.TABU_CAMPAIGN_RUN, snapshot.TABU_CAMPAIGN),
-    }
-    for solver, (script, path) in jobs.items():
-        jobs[solver] = snapshot.run_campaign_job(script, path, REPO / "src", 13, 0)
-        config = CampaignConfig.from_dict(json.loads(path.read_text()))
-        assert config.solver == solver
-        assert jobs[solver]["record"] == bench._run_one(config, 13, 0).to_dict()
-    assert jobs["pce"]["rows_discarded"] >= 0
-    assert sum(jobs["pce"]["batch_sizes"]) >= jobs["pce"]["restarts_used"]
+@pytest.fixture
+def ab_scripts(monkeypatch):
+    """``scripts/ab.py``, ``scripts/bench_snapshot.py`` (which imports it)
+    and ``perfbench/worker.py``, loaded into this process; the worker runs
+    this process's ``pcelabs``."""
+    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(name, os.environ.get(name, "1"))  # ab.py sets defaults
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))  # worker.py imports checks and tracing
+    ab = load_script(monkeypatch, REPO / "scripts" / "ab.py", "ab")
+    snapshot = load_script(monkeypatch, REPO / "scripts" / "bench_snapshot.py", "bench_snapshot")
+    worker = load_script(monkeypatch, REPO / "perfbench" / "worker.py", "worker_under_test")
+    return ab, snapshot, worker
 
 
-def test_bench_snapshot_exact_job_matches_exact_solve():
-    snapshot = load_bench_snapshot()
-    job = snapshot.run_job(snapshot.EXACT_RUN, REPO / "src", 13)
-    assert job["result"] == exact_solve(13).to_dict()
-    assert job["wall_s"] > 0
+@pytest.mark.parametrize("workload, n, solver", [("campaign", 13, "pce"), ("tabu_campaign", 20, "tabu")])
+def test_ab_campaign_op_gives_the_campaign_record(ab_scripts, workload, n, solver):
+    """``ab.py``'s op for run 0 of a campaign workload gives the record of
+    ``bench._run_one``, and the record passes the table check."""
+    ab, _, worker = ab_scripts
+    path, _ = ab.CAMPAIGNS[workload]
+    (op,) = ab.campaign_ops(worker, path, {n: 1})
+    config = CampaignConfig.from_dict(json.loads(path.read_text()))
+    assert config.solver == solver
+    record = op.run()
+    assert record.to_dict() == bench._run_one(config, n, 0).to_dict()
+    assert op.check(record) == []
 
 
-def test_bench_snapshot_runner_alternates_the_variants(monkeypatch, tmp_path):
-    snapshot = load_bench_snapshot()
-    run_job, calls = snapshot.run_job, []
-
-    def logged(script, src, *args):
-        calls.append(src)
-        return run_job(script, src, *args)
-
-    monkeypatch.setattr(snapshot, "run_job", logged)
-    first, second = REPO / "src", tmp_path / "src"
-    second.symlink_to(first)
-    variants = {"checkout": (first,), "other": (second,)}
-    jobs = [({"N": 5, "repeat": r}, (5,)) for r in range(3)]
-    rows = snapshot.alternate("exact", snapshot.EXACT_RUN, jobs, variants, "result", lambda run: {})
-    assert calls == [first, second, second, first, first, second]
-    assert [(row["N"], row["repeat"]) for row in rows] == [(5, 0), (5, 1), (5, 2)]
-    assert all(row["identical"] for row in rows)
-    assert all(row["checkout_wall_s"] > 0 and row["other_wall_s"] > 0 for row in rows)
-    summary = snapshot.summarize(rows, variants)["N5"]
-    assert (summary["runs"], summary["identical"]) == (3, True)
-    assert summary["checkout_total_wall_s"] > 0 and "speedup_over_other_total" in summary
-    assert snapshot.exit_code({"exact": {"runs": rows}}) == 0
+def test_ab_table_check_flags_a_tts_that_disagrees_with_the_energy(ab_scripts):
+    ab, _, worker = ab_scripts
+    optimum = reference_levels(13)[0]
+    hit = RunRecord("tabu", 13, 0, 0, best_energy=optimum, total_evals=10, tts=7)
+    assert ab.table_check(worker, hit) == []
+    assert ab.table_check(worker, replace(hit, tts=None), referenced=False) == []
+    assert ab.table_check(worker, replace(hit, tts=None))  # reached, no tts
+    assert ab.table_check(worker, replace(hit, best_energy=optimum + 4))  # tts, not reached
+    assert ab.table_check(worker, hit, referenced=False)  # tts without references
+    assert ab.table_check(worker, replace(hit, best_energy=optimum - 4, tts=None), referenced=False)
 
 
-def test_bench_snapshot_flags_a_variant_with_another_result(tmp_path):
-    stub = tmp_path / "pcelabs"
-    stub.mkdir()
-    (stub / "__init__.py").write_text("")
-    (stub / "baselines.py").write_text(
-        "class Result:\n"
-        "    def to_dict(self):\n"
-        "        return {'n': 0}\n"
-        "def exact_solve(n):\n"
-        "    return Result()\n"
-    )
-    snapshot = load_bench_snapshot()
-    variants = {"checkout": (REPO / "src",), "parent": (tmp_path,)}
-    rows = snapshot.alternate(
-        "exact", snapshot.EXACT_RUN, [({"N": 5, "repeat": 0}, (5,))], variants, "result", lambda run: {}
-    )
-    assert not rows[0]["identical"]
-    assert not snapshot.summarize(rows, variants)["N5"]["identical"]
-    assert snapshot.exit_code({"environment": {}, "exact": {"runs": rows}}) == 1
-
-
-def test_bench_snapshot_runs_only_the_parts_named(monkeypatch, tmp_path):
-    snapshot = load_bench_snapshot()
+def stub_snapshot_runs(monkeypatch, snapshot, failing: str = "") -> list:
+    """Stub the snapshot's perfbench and ``ab.py`` runs; the ``ab.py`` run
+    of the part ``failing`` exits 1.  Returns the log of runs."""
     ran = []
-    monkeypatch.setattr(snapshot, "run_workload", lambda w, *args: ran.append(w) or {"metrics": {}})
-    monkeypatch.setattr(snapshot, "alternate", lambda name, *args: ran.append(name) or [])
-    monkeypatch.setattr(snapshot, "summarize", lambda runs, variants: {})
+    monkeypatch.setattr(
+        snapshot, "run_workload", lambda w, *args: ran.append(("perfbench", w)) or {"metrics": {}}
+    )
+    monkeypatch.setattr(
+        snapshot, "run_ab", lambda w, *args: ran.append(("ab", w)) or (int(w == failing), {"workload": w})
+    )
+    return ran
+
+
+def test_bench_snapshot_runs_only_the_parts_named(ab_scripts, monkeypatch, tmp_path):
+    _, snapshot, _ = ab_scripts
+    ran = stub_snapshot_runs(monkeypatch, snapshot)
     out = tmp_path / "snapshot.json"
-    assert snapshot.main(["--out", str(out), "--part", "tabu", "--part", "tabu_campaign"]) == 0
-    assert ran == ["tabu", "tabu_campaign"]
-    assert set(json.loads(out.read_text())) == {"environment", "perfbench", "tabu_campaign"}
+    args = ["--out", str(out), "--parent", "src", "--part", "tabu_campaign", "--part", "tabu"]
+    assert snapshot.main(args) == 0
+    assert ran == [("perfbench", "tabu"), ("ab", "tabu"), ("ab", "tabu_campaign")]
+    doc = json.loads(out.read_text())
+    assert set(doc) == {"environment", "perfbench", "ab"}
+    assert list(doc["perfbench"]) == ["tabu"] and list(doc["ab"]) == ["tabu", "tabu_campaign"]
     ran.clear()
-    with pytest.raises(SystemExit):
-        snapshot.main(["--out", str(out), "--part", "tabu", "--part", "annealer"])
-    assert ran == []
+    assert snapshot.main(["--out", str(out), "--part", "slice", "--part", "exact"]) == 0
+    assert ran == [("perfbench", "exact")]
+
+
+def test_bench_snapshot_exits_2_on_an_unknown_part(ab_scripts, monkeypatch, tmp_path):
+    _, snapshot, _ = ab_scripts
+    ran = stub_snapshot_runs(monkeypatch, snapshot)
+    with pytest.raises(SystemExit) as raised:
+        snapshot.main(["--out", str(tmp_path / "snapshot.json"), "--part", "tabu", "--part", "annealer"])
+    assert raised.value.code == 2 and ran == []
+
+
+def test_bench_snapshot_returns_1_when_an_ab_run_returns_1(ab_scripts, monkeypatch, tmp_path):
+    _, snapshot, _ = ab_scripts
+    ran = stub_snapshot_runs(monkeypatch, snapshot, failing="slice")
+    out = tmp_path / "snapshot.json"
+    args = ["--out", str(out), "--parent", "src", "--part", "slice", "--part", "exact-sizes"]
+    assert snapshot.main(args) == 1
+    assert ran == [("ab", "exact-sizes"), ("ab", "slice")]
+    assert list(json.loads(out.read_text())["ab"]) == ["exact-sizes", "slice"]
 
 
 def run_ab(parent: Path, *args: str) -> tuple[int, dict]:
