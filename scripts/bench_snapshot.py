@@ -62,8 +62,13 @@ def run_ab(workload: str, parent: Path, rounds: int, seed: int) -> tuple[int, di
 
 
 def environment() -> dict:
+    """The engine this checkout resolves, and the host; ``sys.path`` is
+    left as it was."""
     sys.path.insert(0, str(ROOT / "src"))
-    from pcelabs import pce_solver
+    try:
+        from pcelabs import pce_solver
+    finally:
+        sys.path.remove(str(ROOT / "src"))
 
     return {
         "engine": pce_solver.resolve_engine(),

@@ -29,13 +29,15 @@ SAMPLERS = {"anticommuting": sample_anticommuting_set, "commuting": sample_commu
 
 
 def pce_sampler(case: dict) -> dict:
+    """A sampler case draws on ``n`` qubits, 4 when the case has no ``n``."""
     rng = np.random.default_rng(case["seed"])
-    pauli_set = SAMPLERS[case["mode"]](4, case["N"], rng).to_dict()
+    pauli_set = SAMPLERS[case["mode"]](case.get("n", 4), case["N"], rng).to_dict()
     return {"set": pauli_set, "next_draw": int(rng.integers(2**62))}
 
 
 def pce_sampler_id(index: int, case: dict) -> str:
-    return f"test_samplers_match_golden_sets[N{case['N']}-{case['mode']}-seed{case['seed']}]"
+    qubits = f"n{case['n']}-" if "n" in case else ""
+    return f"test_samplers_match_golden_sets[{qubits}N{case['N']}-{case['mode']}-seed{case['seed']}]"
 
 
 def pce_solve(case: dict) -> dict:

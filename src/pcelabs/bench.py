@@ -20,7 +20,6 @@ import itertools
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
@@ -280,6 +279,9 @@ def run_campaign(
     Results come back ordered by (N, run_index) regardless of worker
     scheduling; per-run seeds depend only on (base_seed, N, run_index).
     """
+    # Imported here: it loads multiprocessing, which no single run needs.
+    from concurrent.futures import ProcessPoolExecutor
+
     config = replace(config, references={n: config.levels_for(n) for n in config.sizes})
     sizes, runs = zip(*((n, r) for n in config.sizes for r in range(config.runs_per_size)))
     records: list[RunRecord] = []

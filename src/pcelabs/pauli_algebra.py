@@ -10,7 +10,9 @@ A random set grows one string at a time, each drawn uniformly from the
 strings that have the wanted relation to every string accepted so far.
 Those strings solve a linear system over GF(2), one symplectic parity
 equation per accepted string (Aaronson & Gottesman, arXiv:quant-ph/0406196),
-so each is drawn by solving the system rather than by rejection.
+so each is drawn by solving the system rather than by rejection.  Past
+the most strings the relation admits, each new string is one of those
+with the relation to the most strings accepted so far.
 """
 
 from __future__ import annotations
@@ -175,7 +177,15 @@ def _solve_draw(pivots: dict[int, tuple[int, int]], bits: int, rng: np.random.Ge
     return v
 
 
+_TAKEN = -(1 << 62)  # pool score of an accepted string: never the best
+
+
 def _grow_set(n: int, count: int, rng: np.random.Generator, mode: str) -> PauliSet:
+    """``count`` strings on ``n`` qubits: up to the strict cap each is drawn
+    uniformly from the valid extensions, past it uniformly from the
+    strings with the relation to the most accepted strings.  Up to 8
+    qubits that pick scores the pool of every string with one popcount
+    per accepted string; above, it scores 4096 random candidates."""
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
     if count < 1:
@@ -209,30 +219,35 @@ def _grow_set(n: int, count: int, rng: np.random.Generator, mode: str) -> PauliS
 
     # Past the strict cap: fall back to candidates that satisfy the
     # relation against as many accepted strings as possible.  Up to 8
-    # qubits every string is a candidate, and its score is kept up to date
-    # as strings are accepted.
-    pool = None
+    # qubits every string is a candidate: pool[i] = i + 1, and swapped[i]
+    # is its row (z, x), so popcount(swapped & code) & 1 is the symplectic
+    # form of ``code`` against every pool entry at once.  Each entry's
+    # score counts the accepted strings it has the relation to and is
+    # kept up to date as strings are accepted; a taken string's score is
+    # pushed below any other.  Ties go in code order, as the draw expects.
+    pool_score = None
     if n <= 8 and strict < count:
-        pool = np.arange(1, 1 << (2 * n), dtype=np.int64)
-        pool_score = _score_candidates(n, accepted, want, pool)
-        free = np.ones(pool.size, dtype=bool)
-        free[[code - 1 for code in codes]] = False
+        pool = np.arange(1, 1 << (2 * n), dtype=np.uint16)
+        swapped = (pool & low) << n | pool >> n
+        taken = np.array(list(codes), dtype=np.uint16)
+        pool_score = (np.bitwise_count(swapped & taken[:, None]) & 1 == want).sum(axis=0)
+        pool_score[taken - 1] = _TAKEN
     while len(accepted) < count:
-        if pool is not None:
-            candidates, score = pool[free], pool_score[free]
+        if pool_score is not None:
+            best = np.flatnonzero(pool_score == pool_score.max())
+            code = int(best[int(rng.integers(best.size))]) + 1
+            pool_score += np.bitwise_count(swapped & code) & 1 == want
+            pool_score[code - 1] = _TAKEN
         else:
             candidates = rng.integers(1, 1 << (2 * n), size=4096, dtype=np.int64)
             taken = np.array([_code(x, z, n) for x, z in accepted], dtype=np.int64)
             candidates = candidates[~np.isin(candidates, taken)]
+            if candidates.size == 0:
+                continue
             score = _score_candidates(n, accepted, want, candidates)
-        if candidates.size == 0:
-            continue
-        best = candidates[score == score.max()]
-        code = int(best[int(rng.integers(best.size))])
+            best = candidates[score == score.max()]
+            code = int(best[int(rng.integers(best.size))])
         accepted.append((code >> n, code & low))
-        if pool is not None:
-            pool_score += _sym_parity_array(pool, code >> n, code & low, n) == want
-            free[code - 1] = False
 
     paulis = [PauliString(n, x, z) for x, z in accepted]
     return PauliSet(n=n, mode=mode, paulis=paulis, strict_count=strict)

@@ -33,6 +33,14 @@ disjoint qubits and commute, so reading there equals reading just past
 the gate.  RY_q is read as it is.  RX_q sits under RY_q, and RY(b) X
 RY(b)^dagger = cos b X - sin b Z, so RX_q reads cos b Im<lam|X_q|psi>
 minus sin b Im<lam|Z_q|psi>.
+
+At the few rows of a lockstep batch a turn is a handful of small array
+operations, so Python overhead counts: a step indexes its turns once.
+The forward pass walks a list of (perm, diag, weight) views of the
+step's tables, and the sweep walks a plan of views that ``sweep_work``
+builds once per scratch buffer.  The sweep holds each inverse table once
+for psi and once for lam, so a turn's operands all have one shape and no
+operation broadcasts.
 """
 
 from __future__ import annotations
@@ -165,40 +173,80 @@ def step_tables(spec: AnsatzSpec, thetas: np.ndarray) -> tuple:
     pair (c, perm[c]), so its inverse (conj d, conj(w)[perm]) is (conj d,
     -w).  A step's forward pass and sweep share them: the last tables are
     returned again while the angles are equal and are overwritten by the
-    next angles of their shape, so they hold only until then."""
+    next angles of their shape, so they hold only until then.
+
+    A turn's d and w take one value where z = +1 and one where z = -1
+    (an MS turn just one), so they are worked out per turn and row and
+    spread over the amplitudes by one gather."""
+    n, layers, rows = spec.n, spec.layers, len(thetas)
     last = _last_step.get(spec)
     if last is not None and last[0].shape == thetas.shape:
         if np.array_equal(last[0], thetas):
             return last[1]
         last[0][...] = thetas
-        tables = last[1]
     else:
-        dim = 1 << spec.n
-        # Past the U_q of a layer come its MS gates; U_q turns on RY_q's perm.
-        perms = spec.gate_program().perms.reshape(spec.layers, -1, dim)[:, spec.n :]
-        perms = perms.reshape(-1, dim)
-        diags = np.zeros((len(perms), len(thetas), dim), dtype=np.complex128)
-        tables = perms, diags, np.empty_like(diags)
+        perms = _turn_perms(n, layers)
+        both = np.empty((2, len(perms), rows, perms.shape[1]), dtype=np.complex128)
         _last_step.clear()
-        _last_step[spec] = (thetas.copy(), tables)
-    n, layers, rows = spec.n, spec.layers, len(thetas)
-    # (L, 2n + n // 2, B, 1) half angles: RX_q, RY_q, then the MS gates.
-    half = np.ascontiguousarray(thetas.T).reshape(layers, -1, rows, 1) / 2.0
+        last = _last_step[spec] = (thetas.copy(), (perms, *both), both, _table_index(n, layers, rows))
+    _, tables, both, index = last
+    # (L, 2n + n // 2, B) half angles: RX_q, RY_q, then the MS gates.
+    half = np.ascontiguousarray(thetas.T).reshape(layers, -1, rows) / 2.0
     cos, sin = np.cos(half), np.sin(half)
     (ca, cb, cm), (sa, sb, sm) = ((f[:, :n], f[:, n : 2 * n], f[:, 2 * n :]) for f in (cos, sin))
-    coeffs = spec.sweep_reads().coeffs
-    z = coeffs[0, 2 * n : 3 * n, None].real  # Z_q's eigenvalues
-    diags, weights = (t.reshape(layers, -1, rows, t.shape[-1]) for t in tables[1:])
-    diags.real[:, :n] = ca * cb
-    np.multiply(sa * sb, z, out=diags.imag[:, :n])
-    np.multiply(ca * sb, z, out=weights.real[:, :n])
-    weights.imag[:, :n] = sa * cb
-    diags.real[:, n:] = cm
-    np.multiply(1j * sm, coeffs[:, 3 * n :, None], out=weights[:, n:])
+    # (L, n + n // 2, B, z = +1 or -1, d or w) values of each turn.
+    values = np.empty((layers, len(tables[0]) // layers, rows, 2, 2), dtype=np.complex128)
+    u, ms = values[:, :n], values[:, n:, :, 0]
+    u.real[..., 0] = (ca * cb)[..., None]
+    u.imag[..., 0, 0] = sa * sb
+    np.negative(u.imag[..., 0, 0], out=u.imag[..., 1, 0])
+    u.real[..., 0, 1] = ca * sb
+    np.negative(u.real[..., 0, 1], out=u.real[..., 1, 1])
+    u.imag[..., 1] = (sa * cb)[..., None]
+    ms[..., 0] = cm
+    # An MS generator's coefficient is the same on every amplitude.
+    np.multiply(1j * sm, spec.sweep_reads().coeffs[:, 3 * n :, :1], out=ms[..., 1])
+    # mode="clip" lets take write into the tables unbuffered; no index clips.
+    np.take(values.reshape(-1), index, out=both, mode="clip")
     return tables
 
 
-_last_step: dict = {}  # spec: (angles, tables) of the last angle matrix
+# spec: (angles, tables, both tables as one array, their gather index) of
+# the last angle matrix
+_last_step: dict = {}
+
+
+@lru_cache(maxsize=64)
+def _turn_perms(n: int, layers: int) -> np.ndarray:
+    """(T, 2^n) perms of a step's turns: per layer, U_q turns on RY_q's
+    perm, and past the U_q come the MS gates'."""
+    dim = 1 << n
+    perms = AnsatzSpec(n, layers).gate_program().perms.reshape(layers, -1, dim)[:, n:]
+    return perms.reshape(-1, dim)
+
+
+def _table_index(n: int, layers: int, rows: int) -> np.ndarray:
+    """(2, T, B, 2^n) index of each d and w table entry in the flattened
+    (L, n + n // 2, B, 2, 2) values of ``step_tables``: the U_q turns read
+    the pair of z = -1 where bit q of the amplitude is set."""
+    dim, per = 1 << n, n + n // 2
+    flips = np.zeros((per, dim), dtype=np.intp)
+    flips[:n] = np.arange(dim) >> np.arange(n)[:, None] & 1
+    pairs = np.arange(layers * per * rows).reshape(layers, per, rows, 1)
+    index = (pairs * 2 + flips[:, None]) * 2
+    return np.stack([index, index + 1]).reshape(2, layers * per, rows, dim)
+
+
+_bound: list = [None, []]  # a step_tables tuple and its turns
+
+
+def _bind(tables: tuple) -> list:
+    """The turns of a ``step_tables`` tuple as (perm, diag, weight) views,
+    listed once per tuple: its tables are rewritten in place from step to
+    step, so the views stay bound to the current angles."""
+    if _bound[0] is not tables:
+        _bound[:] = tables, list(zip(*tables))
+    return _bound[1]
 
 
 def run_ansatz_batch(spec: AnsatzSpec, thetas: np.ndarray) -> np.ndarray:
@@ -213,7 +261,7 @@ def run_ansatz_batch(spec: AnsatzSpec, thetas: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected {spec.param_count} parameters, got {thetas.shape[1]}")
     states = np.zeros((thetas.shape[0], 1 << spec.n), dtype=np.complex128)
     states[:, 0] = 1.0
-    for perm, diag, weight in zip(*step_tables(spec, thetas)):
+    for perm, diag, weight in _bind(step_tables(spec, thetas)):
         turn(states, perm, weight, diag)
     norms = np.linalg.norm(states, axis=1)
     if np.abs(norms - 1.0).max() > 1e-9:
@@ -240,24 +288,43 @@ def expectations_batch(states: np.ndarray, paulis) -> np.ndarray:
 def inverse_turns(spec: AnsatzSpec, thetas: np.ndarray, out=None) -> tuple:
     """(perms, inverse): the turns of ``step_tables`` undone one by one,
     inverse[t] = (conj d, -w) of turn t, a (T, 2, B, 2^n) array written to
-    ``out`` when given."""
+    ``out`` when given.  An ``out`` with more axes between the pair and the
+    rows, (T, 2, ..., B, 2^n), gets the same tables in every copy."""
     perms, diags, weights = step_tables(spec, thetas)
     if out is None:
         out = np.empty((len(perms), 2, *diags.shape[1:]), dtype=np.complex128)
-    np.conjugate(diags, out=out[:, 0])
-    np.negative(weights, out=out[:, 1])
+    shape = (len(perms), *[1] * (out.ndim - 4), *diags.shape[1:])
+    np.conjugate(diags.reshape(shape), out=out[:, 0])
+    np.negative(weights.reshape(shape), out=out[:, 1])
     return perms, out
 
 
-def sweep_work(spec: AnsatzSpec, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Scratch arrays of ``adjoint_gradient`` at B = rows: the (2L + T, 2,
-    B, 2^n) sublayer states and inverse turns, and the (B, L, 3n + n // 2,
-    2^n) gathered reads.  Reusing them from step to step spares mapping
-    and zero-filling their pages."""
-    dim, (layers, count) = 1 << spec.n, spec.sweep_reads().perms.shape[:2]
-    turns = len(spec.gate_program().perms) - spec.n * layers
-    shapes = ((2 * layers + turns, 2, rows, dim), (rows, layers, count, dim))
-    return tuple(np.empty(shape, dtype=np.complex128) for shape in shapes)
+def sweep_work(spec: AnsatzSpec, rows: int) -> tuple:
+    """(states, read, plan): the scratch arrays of ``adjoint_gradient`` at
+    B = rows and its plan over them.
+
+    ``states`` is (2L + 2T, 2, B, 2^n): the 2L (psi, lam) sublayer states,
+    then each turn's (conj d, -w) pair laid out (T, 2, 2, B, 2^n), once
+    for psi and once for lam.  ``read`` holds the (B, L, 3n + n // 2, 2^n)
+    gathered reads.  ``plan`` has one entry per sublayer but the first,
+    last first: (target slot, source slot, [(perm, -w, conj d), ...]),
+    views into ``states`` that un-apply the sublayer, last turn first.
+    Reusing the arrays from step to step spares mapping and zero-filling
+    their pages, and the plan indexes them once."""
+    n, dim, (layers, count) = spec.n, 1 << spec.n, spec.sweep_reads().perms.shape[:2]
+    perms = _turn_perms(n, layers)
+    shapes = ((2 * layers + 2 * len(perms), 2, rows, dim), (rows, layers, count, dim))
+    states, read = (np.empty(shape, dtype=np.complex128) for shape in shapes)
+    # Slot 2l: after layer l's U block; slot 2l + 1: after its MS block.
+    slots, inverse = states[: 2 * layers], states[2 * layers :].reshape(-1, 2, 2, rows, dim)
+    per = len(perms) // layers
+    plan = []
+    for s in range(2 * layers - 1, 0, -1):
+        start = s // 2 * per + s % 2 * n
+        stop = start + (per - n if s % 2 else n)
+        turns = [(perms[t], inverse[t, 1], inverse[t, 0]) for t in range(stop - 1, start - 1, -1)]
+        plan.append((slots[s - 1], slots[s], turns))
+    return states, read, plan
 
 
 def adjoint_gradient(spec: AnsatzSpec, thetas, psis, lams, work) -> np.ndarray:
@@ -266,29 +333,22 @@ def adjoint_gradient(spec: AnsatzSpec, thetas, psis, lams, work) -> np.ndarray:
 
     psis[b] is the circuit output at thetas[b] and lams[b] = A_b psis[b]
     for a Hermitian A_b.  All rows walk back as one (2, B, 2^n) array,
-    each at its own angles: every sublayer but the first is un-applied
-    turn by turn, last turn first, and the sublayer states are kept.
-    ``spec.sweep_reads()`` is then read at them.  Per row these are the
-    table operations of ``_kernels.adjoint_reads`` in the same order.
-    ``work`` is a ``sweep_work(spec, B)`` pair.
+    each at its own angles.  ``work`` is a ``sweep_work(spec, B)`` triple:
+    the step's inverse turns are written where its plan reads them, and
+    each planned sublayer is un-applied by copying its slot down and
+    turning the copy back.  ``spec.sweep_reads()`` is then read at the
+    sublayer states.  Per row these are the table operations of
+    ``_kernels.adjoint_reads`` in the same order.
     """
     n, layers, rows = spec.n, spec.layers, len(thetas)
-    states, read = work
+    states, read, plan = work
     slots = states[: 2 * layers]
-    perms, inverse = inverse_turns(spec, thetas, states[2 * layers :])
-    per = len(perms) // layers
-    # Slot 2l: after layer l's U block; slot 2l + 1: after its MS block.
+    inverse_turns(spec, thetas, states[2 * layers :].reshape(-1, 2, 2, rows, 1 << n))
     slots[-1] = psis, lams
-    sweep = slots
-    if rows == 1:
-        # The same memory in a one-row sweep's shapes: (2^n,) rows
-        # broadcast faster than (1, 2^n) arrays.
-        sweep, inverse = slots[:, :, 0], inverse[:, :, 0]
-    for s in range(2 * layers - 1, 0, -1):
-        start = s // 2 * per + s % 2 * n
-        sweep[s - 1] = sweep[s]
-        for t in range(start + (per - n if s % 2 else n) - 1, start - 1, -1):
-            turn(sweep[s - 1], perms[t], inverse[t, 1], inverse[t, 0])
+    for target, source, turns in plan:
+        target[...] = source
+        for perm, weight, diag in turns:
+            turn(target, perm, weight, diag)
     # Each read gathered from its slot, with the states laid out (B, 2L 2^n).
     psi = slots[:, 0].transpose(1, 0, 2).reshape(rows, -1)
     # mode="clip" lets take write into ``read`` unbuffered; no index clips.

@@ -3,8 +3,8 @@ the commutation and mutually-unbiased-partition oracles.
 
 ``grow_set`` is the rejection sampler that ``pauli_algebra._grow_set``
 replaced: it draws uniformly random strings until one has the wanted
-relation to every accepted string, and after 512 misses in a row it
-enumerates the valid extensions with ``_scan_candidates``.  Each draw
+relation to every accepted string, and after 32 misses in a row it
+enumerates the valid extensions with ``scan_candidates``.  Each draw
 picks a mutually unbiased class and a member of it, and maps the pair to
 a string by a GF(2^n) product and a bit-matrix product.  Its sets follow
 the distribution the solving sampler must keep, though not its random
@@ -195,7 +195,9 @@ def grow_set(n: int, count: int, rng: np.random.Generator, mode: str) -> PauliSe
     want = 0 if mode == "commuting" else 1
     strict_cap = (1 << n) - 1 if mode == "commuting" else 2 * n + 1
     rows = trace_gram_rows(n)
-    rejection_limit = 512
+    # An accepted draw and the scan's draw are both uniform over the valid
+    # extensions, so the limit sets only how soon the scan takes over.
+    rejection_limit = 32
 
     accepted: list[tuple[int, int]] = []
     rejects_since_accept = 0

@@ -249,6 +249,15 @@ def test_bench_snapshot_runs_only_the_parts_named(ab_scripts, monkeypatch, tmp_p
     assert ran == [("perfbench", "exact")]
 
 
+def test_bench_snapshot_environment_leaves_sys_path_as_it_was(ab_scripts):
+    _, snapshot, _ = ab_scripts
+    before = list(sys.path)
+    first = snapshot.environment()
+    assert snapshot.environment() == first
+    assert first["engine"] in ("numpy", "numba")
+    assert sys.path == before
+
+
 def test_bench_snapshot_exits_2_on_an_unknown_part(ab_scripts, monkeypatch, tmp_path):
     _, snapshot, _ = ab_scripts
     ran = stub_snapshot_runs(monkeypatch, snapshot)
@@ -392,11 +401,13 @@ def test_t_quantile_matches_scipy_stats_bitwise():
 
 
 def test_solver_path_loads_neither_scipy_nor_mpmath():
+    """Nor the process pool of a multi-worker campaign, which costs every
+    worker and CLI start its import."""
     code = (
         "import json, sys\n"
         "import pcelabs, pcelabs.cli, pcelabs.bench, pcelabs.baselines, pcelabs.pce_solver\n"
-        "print(json.dumps(sorted(m for m in sys.modules"
-        " if m.split('.')[0] in ('scipy', 'mpmath'))))\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0]"
+        " in ('scipy', 'mpmath', 'multiprocessing', 'concurrent'))))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
     done = subprocess.run(

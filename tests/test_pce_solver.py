@@ -217,6 +217,32 @@ def test_step_matches_separate_value_and_gradient(use_engine):
     np.testing.assert_array_equal(grad, separate.gradient(thetas))
 
 
+def test_bound_turns_follow_the_batch_and_the_ansatz(use_engine):
+    """The forward pass walks views bound once per set of step tables, and
+    the sweep a plan bound once per scratch buffer.  A context stepped at
+    B = 2, 4, 2 and interleaved with a context of another ansatz gives,
+    step by step, the bits of a fresh context stepping once from empty
+    caches."""
+    use_engine("numpy")
+    contexts = {
+        (4, 15): make_context(n=4, layers=15, N=13, seed=1),
+        (3, 2): make_context(n=3, layers=2, N=8, seed=2, mode="commuting"),
+    }
+    rng = np.random.default_rng(13)
+    order = [(4, 15, 2), (4, 15, 4), (4, 15, 2), (4, 15, 2)]
+    order += [(3, 2, 2), (4, 15, 2), (3, 2, 1), (4, 15, 2)]
+    for n, layers, rows in order:
+        ctx = contexts[n, layers]
+        thetas = rng.uniform(-np.pi, np.pi, (rows, ctx.spec.param_count))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(state_sim, "_last_step", {})
+            patch.setattr(state_sim, "_bound", [None, []])
+            fresh = LossContext(ctx.spec, ctx.paulis, ctx.alpha, ctx.beta)
+            want = fresh.step(thetas)
+        for got, expected in zip(ctx.step(thetas), want):
+            assert got.tobytes() == expected.tobytes()
+
+
 def test_solve_evolves_one_row_per_counted_eval(monkeypatch, use_engine):
     use_engine("numpy")
     rows = []
@@ -314,8 +340,9 @@ def test_lockstep_batches_shrink_with_the_state(use_engine):
         config = PceConfig(n_qubits=8, layers=1, iters_per_restart=1, restart_cap=40)
         solve(13, config)
         assert evolved == [r for r in (2, 4, 8, 8, 8, 8, 2) for _ in range(2)]
-        # A (psi, lam) pair per sublayer and a (conj d, -w) pair per turn.
-        pairs = 2 * config.layers + 8 + 4
+        # A (psi, lam) pair per sublayer, and per turn its (conj d, -w)
+        # pair once for psi and once for lam.
+        pairs = 2 * config.layers + 2 * (8 + 4)
         assert worked == [(pairs, 2, r, 256) for r in (2, 4, 8, 8, 8, 8, 2)]
         evolved.clear()
         solve(13, replace(config, n_qubits=11, restart_cap=3))

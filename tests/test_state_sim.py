@@ -158,6 +158,19 @@ def test_each_turn_is_undone_by_its_inverse(rng):
         np.testing.assert_allclose(state, psi, rtol=0, atol=1e-15)
 
 
+def test_inverse_turns_fill_every_copy_of_an_out_with_more_axes(rng):
+    """The sweep keeps each inverse table once for psi and once for lam:
+    an out of shape (T, 2, 2, B, 2^n) holds the (T, 2, B, 2^n) tables in
+    both copies."""
+    spec = AnsatzSpec(3, 2)
+    thetas = rng.uniform(-np.pi, np.pi, (2, spec.param_count))
+    _, inverse = inverse_turns(spec, thetas)
+    out = np.full((len(inverse), 2, 2, *inverse.shape[2:]), np.nan, dtype=complex)
+    inverse_turns(spec, thetas, out)
+    for copy in range(2):
+        np.testing.assert_array_equal(out[:, :, copy], inverse)
+
+
 def test_step_tables_follow_the_angle_values(rng):
     """The tables kept from the last step are not reused once its angle
     matrix has changed in place."""
